@@ -4,26 +4,22 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snow_checker::{SearchChecker, TagOrderChecker};
 use snow_core::SystemConfig;
-use snow_protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 fn bench_checkers(c: &mut Criterion) {
     let config = SystemConfig::mwmr(3, 2, 2);
-    let mut cluster = build_cluster(
-        ProtocolKind::AlgB,
-        &config,
-        SchedulerKind::Latency { seed: 2, min: 1, max: 15 },
-    )
-    .unwrap();
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .scheduler(SchedulerKind::Latency { seed: 2, min: 1, max: 15 })
+        .build()
+        .unwrap();
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
     let (small_history, _) = WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 16);
 
-    let mut cluster2 = build_cluster(
-        ProtocolKind::AlgB,
-        &config,
-        SchedulerKind::Latency { seed: 2, min: 1, max: 15 },
-    )
-    .unwrap();
+    let mut cluster2 = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .scheduler(SchedulerKind::Latency { seed: 2, min: 1, max: 15 })
+        .build()
+        .unwrap();
     let mut generator2 = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
     let (large_history, _) = WorkloadDriver::new(4).run(cluster2.as_mut(), &mut generator2, 400);
 

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snow_bench::comparison_config;
-use snow_protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 fn bench_throughput(c: &mut Criterion) {
@@ -23,12 +23,10 @@ fn bench_throughput(c: &mut Criterion) {
             |b, &protocol| {
                 b.iter(|| {
                     let config = comparison_config(protocol, 4, 2, 2);
-                    let mut cluster = build_cluster(
-                        protocol,
-                        &config,
-                        SchedulerKind::Latency { seed: 7, min: 1, max: 10 },
-                    )
-                    .unwrap();
+                    let mut cluster = ClusterSpec::new(protocol, &config)
+                        .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 10 })
+                        .build()
+                        .unwrap();
                     let mut generator =
                         WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
                     let (history, _) =

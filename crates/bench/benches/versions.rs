@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
-use snow_protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow_protocols::{ClusterSpec, ProtocolKind};
 
 fn bench_versions(c: &mut Criterion) {
     let mut group = c.benchmark_group("alg_c_read_vs_history_depth");
@@ -12,8 +12,7 @@ fn bench_versions(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(writes), &writes, |b, &writes| {
             b.iter(|| {
                 let config = SystemConfig::mwmr(2, 1, 1);
-                let mut cluster =
-                    build_cluster(ProtocolKind::AlgC, &config, SchedulerKind::Fifo).unwrap();
+                let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config).build().unwrap();
                 let writer = config.writers().next().unwrap();
                 let reader = config.readers().next().unwrap();
                 for i in 0..writes {

@@ -64,9 +64,7 @@ use snow_bench::simcore::{run_flood, run_flood_paired, run_flood_parallel, Flood
 use snow_checker::{check_auto, GraphChecker, LatencyStats, StreamChecker, Verdict};
 use snow_core::{History, SystemConfig};
 use snow_obs::fold_events;
-use snow_protocols::{
-    build_cluster_bounded, build_cluster_faulty, ExecutorKind, ProtocolKind, SchedulerKind,
-};
+use snow_protocols::{ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
 use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
 use snow_runtime::cluster::measure_read_latencies;
 use snow_workload::{
@@ -176,14 +174,12 @@ fn open_loop_zipf(protocol: ProtocolKind, config: &SystemConfig, executor: Execu
 /// `checker_stream`) measure over this same history shape.
 fn checker_bench_history(transactions: usize) -> History {
     let config = SystemConfig::mwmr(8, 4, 4);
-    let mut cluster = build_cluster_bounded(
-        ProtocolKind::AlgB,
-        &config,
-        SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-        u64::MAX,
-        4096,
-    )
-    .expect("valid bench config");
+    let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+        .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+        .build()
+        .expect("valid bench config");
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
     let (history, report) =
         WorkloadDriver::new(8).run(cluster.as_mut(), &mut generator, transactions);
@@ -581,14 +577,11 @@ fn fault_run(
     let mut completed = 0usize;
     let mut aborted = 0usize;
     for _ in 0..reps.max(1) {
-        let mut cluster = build_cluster_faulty(
-            ProtocolKind::AlgB,
-            &config,
-            SchedulerKind::Latency { seed: 11, min: 1, max: 16 },
-            ExecutorKind::SerialSim,
-            schedule.clone(),
-        )
-        .expect("valid fault bench config");
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
+            .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
+            .faults(schedule.clone())
+            .build()
+            .expect("valid fault bench config");
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
         let start = Instant::now();
         let (history, report) =

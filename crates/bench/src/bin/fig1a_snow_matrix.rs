@@ -9,14 +9,16 @@ use snow_bench::{header, row};
 use snow_checker::SnowReport;
 use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
 use snow_impossibility::{run_three_client_chain, run_two_client_chain};
-use snow_protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 
 fn verify_alg_a_snow(config: &SystemConfig, schedules: u64) -> bool {
     let reader = config.readers().next().unwrap();
     let writers: Vec<_> = config.writers().collect();
     for seed in 0..schedules {
-        let mut cluster =
-            build_cluster(ProtocolKind::AlgA, config, SchedulerKind::Random(seed)).unwrap();
+        let mut cluster = ClusterSpec::new(ProtocolKind::AlgA, config)
+            .scheduler(SchedulerKind::Random(seed))
+            .build()
+            .unwrap();
         let mut t = 0u64;
         for round in 0..4u64 {
             for (i, w) in writers.iter().enumerate() {

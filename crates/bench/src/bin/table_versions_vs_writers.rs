@@ -4,17 +4,15 @@
 use snow_bench::{header, row};
 use snow_checker::HistoryMetrics;
 use snow_core::SystemConfig;
-use snow_protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 fn run(protocol: ProtocolKind, writers: u32) -> HistoryMetrics {
     let config = SystemConfig::mwmr(2, writers, 1);
-    let mut cluster = build_cluster(
-        protocol,
-        &config,
-        SchedulerKind::Latency { seed: 9, min: 1, max: 30 },
-    )
-    .unwrap();
+    let mut cluster = ClusterSpec::new(protocol, &config)
+        .scheduler(SchedulerKind::Latency { seed: 9, min: 1, max: 30 })
+        .build()
+        .unwrap();
     let spec = WorkloadSpec {
         read_fraction: 0.0,
         objects_per_read: 2,

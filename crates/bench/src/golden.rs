@@ -25,8 +25,7 @@
 
 use snow_core::{ClientId, History, SystemConfig, TxSpec};
 use snow_protocols::{
-    build_cluster_faulty, build_cluster_observed, build_cluster_on, fault_scenarios,
-    ExecutorKind, ProtocolKind, SchedulerKind, ShardEvent,
+    fault_scenarios, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind, ShardEvent,
 };
 use snow_sim::FaultSchedule;
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
@@ -103,15 +102,11 @@ pub fn run_combo(combo: &Combo) -> String {
 /// pinned by the `parallel_determinism` integration test.
 pub fn run_combo_on(combo: &Combo, executor: ExecutorKind) -> String {
     let config = combo_config(combo.protocol);
-    let mut cluster = build_cluster_on(
-        combo.protocol,
-        &config,
-        combo.scheduler,
-        executor,
-        snow_protocols::DEFAULT_MAX_STEPS,
-        None,
-    )
-    .expect("valid combo config");
+    let mut cluster = ClusterSpec::new(combo.protocol, &config)
+        .scheduler(combo.scheduler)
+        .executor(executor)
+        .build()
+        .expect("valid combo config");
     let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
     let (history, report) =
         WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, COMBO_TXNS);
@@ -136,15 +131,12 @@ pub fn run_combo_on(combo: &Combo, executor: ExecutorKind) -> String {
 /// the golden fixtures for all 30 combos.
 pub fn run_combo_observed(combo: &Combo, executor: ExecutorKind) -> (String, Vec<ShardEvent>) {
     let config = combo_config(combo.protocol);
-    let mut cluster = build_cluster_observed(
-        combo.protocol,
-        &config,
-        combo.scheduler,
-        executor,
-        snow_protocols::DEFAULT_MAX_STEPS,
-        None,
-    )
-    .expect("valid combo config");
+    let mut cluster = ClusterSpec::new(combo.protocol, &config)
+        .scheduler(combo.scheduler)
+        .executor(executor)
+        .observed(true)
+        .build()
+        .expect("valid combo config");
     let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
     let (history, report, events) = WorkloadDriver::new(4).run_observed(
         cluster.as_mut(),
@@ -232,7 +224,10 @@ pub fn run_concurrent_plan_on(
     executor: ExecutorKind,
     batches: &[Vec<(ClientId, TxSpec)>],
 ) -> History {
-    let mut cluster = build_cluster_on(protocol, config, scheduler, executor, snow_protocols::DEFAULT_MAX_STEPS, None)
+    let mut cluster = ClusterSpec::new(protocol, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .build()
         .expect("valid parity config");
     for batch in batches {
         let now = cluster.now();
@@ -266,7 +261,10 @@ pub fn run_plan_on(
     executor: ExecutorKind,
     plan: &[(ClientId, TxSpec)],
 ) -> History {
-    let mut cluster = build_cluster_on(protocol, config, scheduler, executor, snow_protocols::DEFAULT_MAX_STEPS, None)
+    let mut cluster = ClusterSpec::new(protocol, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .build()
         .expect("valid parity config");
     for (client, spec) in plan {
         let tx = cluster.invoke_at(cluster.now(), *client, spec.clone());
@@ -442,7 +440,11 @@ pub fn run_fault_schedule_on(
     executor: ExecutorKind,
 ) -> String {
     let config = combo_config(protocol);
-    let mut cluster = build_cluster_faulty(protocol, &config, scheduler, executor, schedule)
+    let mut cluster = ClusterSpec::new(protocol, &config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .faults(schedule)
+        .build()
         .expect("valid fault combo config");
     let mut generator = WorkloadGenerator::new(&config, combo_workload_spec());
     let (history, report) =

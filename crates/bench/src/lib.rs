@@ -26,7 +26,7 @@ pub mod simcore;
 
 use snow_checker::{HistoryMetrics, SnowReport};
 use snow_core::{History, SystemConfig};
-use snow_protocols::{build_cluster, Cluster, ProtocolKind, SchedulerKind};
+use snow_protocols::{Cluster, ClusterSpec, ProtocolKind, SchedulerKind};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 /// Renders a markdown-style table row.
@@ -50,12 +50,10 @@ pub fn run_protocol_workload(
     total: usize,
     seed: u64,
 ) -> (History, HistoryMetrics, SnowReport) {
-    let mut cluster: Box<dyn Cluster> = build_cluster(
-        protocol,
-        config,
-        SchedulerKind::Latency { seed, min: 1, max: 20 },
-    )
-    .expect("valid deployment");
+    let mut cluster: Box<dyn Cluster> = ClusterSpec::new(protocol, config)
+        .scheduler(SchedulerKind::Latency { seed, min: 1, max: 20 })
+        .build()
+        .expect("valid deployment");
     let mut generator = WorkloadGenerator::new(config, spec);
     let (history, _) = WorkloadDriver::new(config.num_clients() as usize)
         .run(cluster.as_mut(), &mut generator, total);

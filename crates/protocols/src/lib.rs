@@ -31,11 +31,11 @@
 //! construction path in the workspace, feeding all three execution
 //! substrates (select one with [`ExecutorKind`]):
 //!
-//! * the serial simulator wraps it in [`deploy::build_cluster`] (pick a
+//! * the serial simulator wraps it in [`ClusterSpec::build`] (pick a
 //!   [`SchedulerKind`], drive through the [`deploy::Cluster`] trait);
-//! * the sharded parallel simulator wraps it in
-//!   [`deploy::build_cluster_parallel`] (same [`deploy::Cluster`] trait,
-//!   one worker thread per shard);
+//! * the sharded parallel simulator is the same [`ClusterSpec`] with
+//!   [`ExecutorKind::ParallelSim`] (same [`deploy::Cluster`] trait, one
+//!   worker thread per shard);
 //! * the tokio runtime wraps it in `snow_runtime::AsyncCluster::deploy`.
 //!
 //! A new protocol therefore lands on both executors — and under the
@@ -59,10 +59,7 @@ pub mod simple;
 pub use any::{deploy_any, AnyDeployment, AnyMsg, AnyNode};
 pub use common::{PendingRead, PendingWrite, WriteLog};
 pub use deploy::{
-    build_cluster, build_cluster_bounded, build_cluster_faulty, build_cluster_faulty_observed,
-    build_cluster_observed,
-    build_cluster_on, build_cluster_parallel, build_cluster_with_max_steps, fault_scenarios,
-    scenario_crash_mid_read, scenario_dup_storm, scenario_partition_during_write, Cluster,
+    fault_scenarios, scenario_crash_mid_read, scenario_dup_storm, scenario_partition_during_write, Cluster,
     ClusterSpec, CommitDrain, ExecutorKind, ObsEvent, ProtocolKind, SchedulerKind, ShardEvent,
     DEFAULT_MAX_STEPS,
 };

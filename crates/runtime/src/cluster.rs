@@ -2,7 +2,7 @@
 //!
 //! [`AsyncCluster::deploy`] builds the cluster from the same
 //! `ProtocolKind`-dispatched deployment path (`snow_protocols::deploy_any`)
-//! the simulator's `build_cluster` uses, so every protocol runs on both
+//! the simulator's `ClusterSpec` uses, so every protocol runs on both
 //! executors with no per-protocol wiring here.
 //!
 //! The runtime mirrors the simulator's causal instrumentation: every

@@ -11,7 +11,7 @@
 //! contract lives in `snow-core`, and [`AsyncCluster::deploy`] builds a
 //! cluster for any `ProtocolKind` through the same protocol-erased
 //! deployment path (`snow_protocols::deploy_any`) the simulator's
-//! `build_cluster` uses — one dispatch point, two executors.  The runtime
+//! `ClusterSpec` uses — one dispatch point, two executors.  The runtime
 //! also derives the simulator-equivalent per-transaction instrumentation
 //! (rounds, C2C counts, per-read non-blocking/version measurements) from
 //! causal message envelopes, so runtime histories feed `snow-checker`

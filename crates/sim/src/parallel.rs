@@ -88,8 +88,8 @@ pub fn shard_of(id: ProcessId, shards: usize) -> usize {
 /// The scheduler seed shard `shard` should derive from a deployment's base
 /// seed — the one rule every parallel harness must share: **shard 0 keeps
 /// the base seed** (the 1-shard golden-parity proof depends on it), the
-/// rest mix their index in.  Used by `snow_protocols::build_cluster_parallel`
-/// and the paired-flood bench.
+/// rest mix their index in.  Used by `snow_protocols::ClusterSpec` (sharded
+/// executor) and the paired-flood bench.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     if shard == 0 {
         seed

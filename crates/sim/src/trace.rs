@@ -5,27 +5,27 @@
 //! "simplify notation"), each tagged with the automaton at which it occurs,
 //! the simulation time, and — for sends — the causal parent message.
 //!
-//! # Incremental indexes
+//! # Incremental instrumentation
 //!
-//! Derived quantities are maintained *as actions are recorded*, so the
-//! per-transaction queries the history assembly needs are O(1)/O(answer)
-//! instead of O(actions) rescans:
+//! The trace keeps only what history assembly reads, derived *as actions
+//! are recorded* so every per-transaction query is O(1)/O(answer):
 //!
-//! * `MsgId → send/recv action` lookup tables make [`Trace::send_of`],
-//!   [`Trace::recv_of`] and [`Trace::parent_of`] O(1);
 //! * per-transaction counters accumulate C2C sends, round depths (the causal
-//!   parent-chain walk runs at record time, each hop now O(1)), and the
-//!   [`ReadResult`] instrumentation of read responses received by the
-//!   invoking client;
-//! * per-transaction and per-process action lists back [`Trace::of_tx`] and
-//!   [`Trace::at`] without scanning.
+//!   parent-chain walk runs at record time over a compact per-message side
+//!   table, each hop O(1)), and the [`ReadResult`] instrumentation of read
+//!   responses received by the invoking client;
+//! * a commit log lists transactions in RESP order for incremental drains
+//!   ([`Trace::commits_since`] / [`Trace::retire_commits`]).
 //!
-//! With these indexes, [`crate::Simulation::history`] is a single pass over
-//! the recorded transactions rather than O(transactions × actions).
+//! With these, [`crate::Simulation::history`] is a single pass over the
+//! recorded transactions rather than O(transactions × actions).
 //!
 //! Read-response instrumentation requires the transaction's `Invoke` action
 //! to be recorded before its message actions (always true for engine-driven
-//! traces; hand-built traces must follow the same order).
+//! traces; hand-built traces must follow the same order).  It is **frozen
+//! at RESP**: a read response the invoker receives after its transaction
+//! responded (a straggler of a duplicated request, say) is not folded in.
+//! The READ's N and O verdicts are about the responses it completed with.
 //!
 //! # Bounded action logs
 //!
@@ -40,12 +40,9 @@
 //! O(window + in-flight) rather than O(messages): by the time a
 //! transaction responds, every aggregate its invoker contributes to a
 //! [`snow_core::History`] is final — a client's causal parent chains never
-//! leave its own transaction, and the non-blocking verdict of a read
-//! response only inspects the response's immediate parent, which is
-//! recorded before the RESP.  Queries over evicted actions
-//! ([`Trace::send_of`], [`Trace::recv_of`], [`Trace::at`],
-//! [`Trace::of_tx`]) simply omit them, and [`Trace::parent_of`] forgets
-//! links of completed transactions.
+//! leave its own transaction, the non-blocking verdict of a read response
+//! only inspects the response's immediate parent, which is recorded before
+//! the RESP, and read instrumentation is frozen at RESP.
 
 use crate::message::{MsgId, MsgInfo, MsgKind};
 use snow_core::{ProcessId, ReadResult, TxId, TxKind};
@@ -103,22 +100,9 @@ pub struct Action {
     pub kind: ActionKind,
 }
 
-impl Action {
-    /// The transaction this action belongs to, if it can be attributed.
-    pub fn tx(&self) -> Option<TxId> {
-        match &self.kind {
-            ActionKind::Invoke { tx, .. } | ActionKind::Respond { tx } => Some(*tx),
-            ActionKind::Send { info, .. } | ActionKind::Recv { info, .. } => info.tx,
-        }
-    }
-}
-
 /// Per-transaction incrementally maintained statistics.
 #[derive(Debug, Clone, Default)]
 struct TxIndex {
-    /// Sequence numbers of this transaction's actions, in order (front
-    /// entries are dropped as the ring evicts them).
-    actions: VecDeque<u64>,
     /// The process at which the transaction's INV occurred.
     invoker: Option<ProcessId>,
     /// Client-to-client sends attributed to this transaction.
@@ -131,8 +115,9 @@ struct TxIndex {
     /// Message ids sent on behalf of this transaction — tracked only in
     /// bounded mode, so their [`SendMeta`] entries can be pruned at RESP.
     msgs: Vec<MsgId>,
-    /// True once the transaction's RESP was recorded (bounded mode prunes
-    /// the causal metadata of its post-RESP straggler traffic on delivery).
+    /// True once the transaction's RESP was recorded: its read
+    /// instrumentation is frozen, and bounded mode prunes the causal
+    /// metadata of its post-RESP straggler traffic on delivery.
     responded: bool,
 }
 
@@ -197,28 +182,20 @@ pub struct CausalEnvelope {
 }
 
 /// The ordered list of external actions of one execution, with incremental
-/// per-transaction indexes (see the module docs).
+/// per-transaction instrumentation (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Retained actions; a sliding window of the full log when a capacity
     /// is set, the full log otherwise.
     actions: Vec<Action>,
-    /// Sequence number of `actions[0]` (> 0 once evictions happened).
-    base_seq: u64,
     /// Total number of actions ever recorded.
     recorded: u64,
     /// Retained-action cap (`None` = unbounded).
     capacity: Option<usize>,
-    /// `MsgId → seq of its Send action`.
-    send_seq: FxHashMap<MsgId, u64>,
-    /// `MsgId → seq of its Recv action`.
-    recv_seq: FxHashMap<MsgId, u64>,
     /// `MsgId → send metadata` (kept across evictions; see [`SendMeta`]).
     send_meta: FxHashMap<MsgId, SendMeta>,
     /// Per-transaction statistics.
     by_tx: FxHashMap<TxId, TxIndex>,
-    /// Per-process action seqs (the projection `trace(α)|p`).
-    by_proc: FxHashMap<ProcessId, VecDeque<u64>>,
     /// Commit log: transactions in RESP order, minus the prefix already
     /// retired by [`Trace::retire_commits`].  `commits[0]` is commit
     /// number `commits_retired`.
@@ -241,15 +218,12 @@ impl Trace {
     /// `2 × capacity` (eviction is batched so recording stays amortized
     /// O(1)).  All incremental aggregates — round depths, C2C counts, read
     /// instrumentation — are unaffected by eviction and match the
-    /// unbounded trace exactly; only the raw-action queries forget evicted
+    /// unbounded trace exactly; only [`Trace::actions`] forgets evicted
     /// history.
     ///
     /// The compact per-message causality table backing those aggregates
     /// (~40 B per send) is pruned per transaction at its RESP, so total
     /// memory is O(window + in-flight messages) rather than O(messages).
-    /// Consequently [`Trace::parent_of`] only answers for messages of
-    /// still-in-flight transactions (and for unattributable control
-    /// traffic, which is never pruned).
     pub fn with_action_capacity(capacity: usize) -> Self {
         Trace {
             capacity: Some(capacity),
@@ -277,57 +251,19 @@ impl Trace {
         let seq = self.recorded;
         self.recorded += 1;
         let action = Action { seq, time, at, kind };
-        self.index_action(seq, &action);
+        self.index_action(&action);
         self.actions.push(action);
         if let Some(cap) = self.capacity {
             // Amortized O(1): let the buffer grow to 2× the cap, then slide
             // the window in one drain.
             if self.actions.len() > cap.saturating_mul(2).max(1) {
                 let excess = self.actions.len() - cap;
-                self.evict(excess);
+                self.actions.drain(..excess);
             }
         }
     }
 
-    /// Drops the `count` oldest retained actions and their index entries.
-    fn evict(&mut self, count: usize) {
-        for action in self.actions.drain(..count) {
-            match &action.kind {
-                ActionKind::Send { msg, .. } => {
-                    self.send_seq.remove(msg);
-                }
-                ActionKind::Recv { msg, .. } => {
-                    self.recv_seq.remove(msg);
-                }
-                _ => {}
-            }
-            if let Some(list) = self.by_proc.get_mut(&action.at) {
-                if list.front() == Some(&action.seq) {
-                    list.pop_front();
-                }
-            }
-            if let Some(tx) = action.tx() {
-                if let Some(index) = self.by_tx.get_mut(&tx) {
-                    if index.actions.front() == Some(&action.seq) {
-                        index.actions.pop_front();
-                    }
-                }
-            }
-        }
-        self.base_seq += count as u64;
-    }
-
-    /// The retained action with sequence number `seq`, if not evicted.
-    fn action_at(&self, seq: u64) -> Option<&Action> {
-        seq.checked_sub(self.base_seq)
-            .and_then(|i| self.actions.get(i as usize))
-    }
-
-    fn index_action(&mut self, seq: u64, action: &Action) {
-        self.by_proc.entry(action.at).or_default().push_back(seq);
-        if let Some(tx) = action.tx() {
-            self.by_tx.entry(tx).or_default().actions.push_back(seq);
-        }
+    fn index_action(&mut self, action: &Action) {
         match &action.kind {
             ActionKind::Invoke { tx, .. } => {
                 self.by_tx.entry(*tx).or_default().invoker = Some(action.at);
@@ -350,7 +286,6 @@ impl Trace {
                 }
             }
             ActionKind::Send { msg, parent, info, to } => {
-                self.send_seq.insert(*msg, seq);
                 self.send_meta.insert(
                     *msg,
                     SendMeta {
@@ -387,7 +322,6 @@ impl Trace {
                 }
             }
             ActionKind::Recv { msg, from, info } => {
-                self.recv_seq.insert(*msg, seq);
                 self.index_read_response(action.at, *msg, *from, info);
                 // Bounded mode: a delivered message no future RESP will
                 // prune — unattributable control traffic, or a straggler of
@@ -556,8 +490,7 @@ impl Trace {
     ///   ever prune it, and only the invoker's shard derives read/round
     ///   aggregates from it.
     ///
-    /// No-op on unbounded traces, which keep every meta for retrospective
-    /// [`Trace::parent_of`] queries.
+    /// No-op on unbounded traces, which never prune.
     pub fn prune_meta(&mut self, msg: MsgId) {
         if self.capacity.is_some() {
             self.send_meta.remove(&msg);
@@ -603,11 +536,6 @@ impl Trace {
         self.recorded as usize
     }
 
-    /// Number of actions evicted from a bounded trace's window.
-    pub fn evicted_len(&self) -> usize {
-        self.base_seq as usize
-    }
-
     /// Number of per-message causality entries currently held.  Unbounded
     /// traces keep one per send; bounded traces prune a transaction's
     /// entries at its RESP, so this tracks the in-flight population.
@@ -620,42 +548,12 @@ impl Trace {
         self.recorded == 0
     }
 
-    /// The retained actions occurring at one automaton, in order — the
-    /// projection `trace(α)|p` the indistinguishability arguments use.
-    pub fn at(&self, p: ProcessId) -> Vec<&Action> {
-        self.by_proc
-            .get(&p)
-            .map(|seqs| seqs.iter().filter_map(|&s| self.action_at(s)).collect())
-            .unwrap_or_default()
-    }
-
-    /// The retained actions attributable to one transaction, in order.
-    pub fn of_tx(&self, tx: TxId) -> Vec<&Action> {
-        self.by_tx
-            .get(&tx)
-            .map(|t| t.actions.iter().filter_map(|&s| self.action_at(s)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Finds the send action for a given message id — O(1).  `None` if the
-    /// message is unknown or its send action was evicted.
-    pub fn send_of(&self, msg: MsgId) -> Option<&Action> {
-        self.send_seq.get(&msg).and_then(|&s| self.action_at(s))
-    }
-
-    /// Finds the receive action for a given message id — O(1).  `None` if
-    /// the message is unknown or its receive action was evicted.
-    pub fn recv_of(&self, msg: MsgId) -> Option<&Action> {
-        self.recv_seq.get(&msg).and_then(|&s| self.action_at(s))
-    }
-
     /// The causal parent of a message: the message whose handler sent it —
-    /// O(1).  Parent links survive action eviction in unbounded traces;
-    /// bounded traces forget them for completed transactions (pruned at
-    /// RESP) and for delivered control/straggler messages (pruned at
+    /// O(1).  Bounded traces forget it for completed transactions (pruned
+    /// at RESP) and for delivered control/straggler messages (pruned at
     /// delivery).  Messages whose metadata was imported from another shard
     /// report no parent (the parent lives in the sending shard's trace).
-    pub fn parent_of(&self, msg: MsgId) -> Option<MsgId> {
+    fn parent_of(&self, msg: MsgId) -> Option<MsgId> {
         match self.send_meta.get(&msg).map(|m| &m.origin) {
             Some(MetaOrigin::Local { parent }) => *parent,
             _ => None,
@@ -699,17 +597,11 @@ impl Trace {
         self.commits_retired + self.commits.len() as u64
     }
 
-    /// Number of commit-log entries retired by [`Trace::retire_commits`]
-    /// — the commit number of the oldest live entry.
-    pub fn retired_commits(&self) -> u64 {
-        self.commits_retired
-    }
-
     /// Iterates the live commit-log entries from commit number `cursor`
     /// on, in RESP order, without cloning anything — the incremental
     /// alternative to re-assembling a full history per checker poll.
-    /// Already-retired entries are omitted (a `cursor` below
-    /// [`Trace::retired_commits`] starts at the oldest live entry).
+    /// Already-retired entries are omitted (a `cursor` below the
+    /// [`Trace::retire_commits`] mark starts at the oldest live entry).
     pub fn commits_since(&self, cursor: u64) -> impl Iterator<Item = TxId> + '_ {
         let skip = cursor.saturating_sub(self.commits_retired) as usize;
         self.commits.iter().skip(skip).copied()
@@ -832,30 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn projections_and_lookup() {
-        let t = two_round_trace();
-        assert_eq!(t.len(), 10);
-        assert!(!t.is_empty());
-        assert_eq!(t.at(client(0)).len(), 6);
-        assert_eq!(t.at(server(0)).len(), 2);
-        assert_eq!(t.of_tx(TxId(1)).len(), 10);
-        assert_eq!(t.of_tx(TxId(9)).len(), 0);
-        assert!(t.send_of(MsgId(2)).is_some());
-        assert!(t.recv_of(MsgId(3)).is_some());
-        assert_eq!(t.parent_of(MsgId(2)), Some(MsgId(1)));
-        assert_eq!(t.parent_of(MsgId(0)), None);
-    }
-
-    #[test]
-    fn projections_preserve_action_order() {
-        let t = two_round_trace();
-        let seqs: Vec<u64> = t.at(client(0)).iter().map(|a| a.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 4, 5, 8, 9]);
-        let tx_seqs: Vec<u64> = t.of_tx(TxId(1)).iter().map(|a| a.seq).collect();
-        assert_eq!(tx_seqs, (0..10).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn round_counting_follows_causality() {
         let t = two_round_trace();
         // m0 is round 1; m2's parent chain passes through m1 (a response to
@@ -897,13 +765,6 @@ mod tests {
         assert_eq!(reads[1].server, ServerId(1));
         assert_eq!(reads[1].versions_in_response, 1);
         assert!(t.read_results(TxId(9)).is_empty());
-    }
-
-    #[test]
-    fn action_tx_attribution() {
-        let t = two_round_trace();
-        assert_eq!(t.actions()[0].tx(), Some(TxId(1)));
-        assert_eq!(t.actions()[9].tx(), Some(TxId(1)));
     }
 
     /// Replays `n` copies of the two-round transaction pattern into `t`,
@@ -1005,10 +866,12 @@ mod tests {
         assert_eq!(full.action_capacity(), None);
         assert_eq!(full.len(), 200);
         assert_eq!(bounded.len(), 200, "len counts recorded, not retained");
-        assert!(bounded.actions().len() <= 16, "window is at most 2×capacity");
-        assert!(bounded.actions().len() >= 8, "window keeps the newest capacity");
-        assert!(bounded.evicted_len() >= 184);
-        assert_eq!(full.evicted_len(), 0);
+        let window = bounded.actions();
+        assert!(window.len() <= 16, "window is at most 2×capacity");
+        assert!(window.len() >= 8, "window keeps the newest capacity");
+        assert_eq!(window.last().map(|a| a.seq), Some(199), "newest action retained");
+        assert_eq!(window[0].seq, 200 - window.len() as u64, "oldest actions evicted");
+        assert_eq!(full.actions().len(), 200);
 
         // Every per-transaction aggregate is identical, including for
         // transactions whose actions were all evicted long ago.
@@ -1032,12 +895,6 @@ mod tests {
         assert_eq!(full.causal_meta_len(), 80, "4 sends per transaction");
         assert_eq!(full.parent_of(MsgId(2)), Some(MsgId(1)));
         assert_eq!(bounded.parent_of(MsgId(2)), None, "pruned at RESP");
-        assert!(bounded.send_of(MsgId(0)).is_none(), "evicted send forgotten");
-        assert!(full.send_of(MsgId(0)).is_some());
-        // Retained projections only contain window actions.
-        let retained_seqs: Vec<u64> = bounded.at(client(0)).iter().map(|a| a.seq).collect();
-        assert!(retained_seqs.iter().all(|s| *s >= bounded.evicted_len() as u64));
-        assert!(!retained_seqs.is_empty());
     }
 
     #[test]
@@ -1150,7 +1007,6 @@ mod tests {
         let mut t = Trace::with_action_capacity(8);
         replay_pattern(&mut t, 20);
         assert_eq!(t.commit_count(), 20);
-        assert_eq!(t.retired_commits(), 0);
         // The log is in RESP order even though the action window evicted
         // almost everything.
         let all: Vec<TxId> = t.commits_since(0).collect();
@@ -1160,14 +1016,13 @@ mod tests {
         assert_eq!(tail, vec![TxId(17), TxId(18), TxId(19)]);
         // Retiring a prefix drops its storage but not the numbering.
         t.retire_commits(17);
-        assert_eq!(t.retired_commits(), 17);
         assert_eq!(t.commit_count(), 20);
         assert_eq!(t.commits_since(17).collect::<Vec<_>>(), tail);
         // A stale cursor starts at the oldest live entry; retiring past
         // the end is clamped.
         assert_eq!(t.commits_since(0).count(), 3);
         t.retire_commits(100);
-        assert_eq!(t.retired_commits(), 20);
+        assert_eq!(t.commit_count(), 20);
         assert_eq!(t.commits_since(0).count(), 0);
     }
 }

@@ -26,9 +26,8 @@ pub mod zipf;
 
 pub use driver::{CheckMode, DriverReport, WorkloadDriver};
 pub use open_loop::{
-    arrival_schedule, drive_open_loop, rate_sweep, run_open_loop, run_open_loop_checked,
-    run_open_loop_checked_mode, run_open_loop_observed, zipf_sweep, Arrival, OpenLoopReport,
-    OpenLoopSpec, RateSweep,
+    arrival_schedule, drive_open_loop, rate_sweep, run_open_loop, run_open_loop_checked_mode,
+    run_open_loop_observed, zipf_sweep, Arrival, OpenLoopReport, OpenLoopSpec, RateSweep,
 };
 pub use generator::{GeneratedTx, WorkloadGenerator, WorkloadSpec};
 pub use scenario::{

@@ -46,9 +46,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use snow_checker::{check_auto, LatencyStats, Verdict};
 use snow_core::{ClientId, History, Result, SystemConfig, TxId, TxKind, TxSpec};
-use snow_protocols::{
-    build_cluster_observed, build_cluster_on, Cluster, ExecutorKind, ProtocolKind, SchedulerKind,
-};
+use snow_protocols::{Cluster, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Parameters of one open-loop run.
@@ -262,12 +260,17 @@ pub fn run_open_loop(
     scheduler: SchedulerKind,
     executor: ExecutorKind,
 ) -> Result<(History, OpenLoopReport)> {
-    let mut cluster = build_cluster_on(protocol, config, scheduler, executor, u64::MAX, Some(4096))?;
+    let mut cluster = ClusterSpec::new(protocol, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+        .build()?;
     Ok(drive_open_loop(cluster.as_mut(), config, spec))
 }
 
 /// [`run_open_loop`] with observability recording: the cluster is built
-/// via [`snow_protocols::build_cluster_observed`], so every shard's
+/// with [`snow_protocols::ClusterSpec::observed`], so every shard's
 /// dispatch core records its virtual-time event stream
 /// (`InvocationDispatched`, `MessageSent`, `MessageDelivered`,
 /// `EpochBarrierCrossed`, `TxCommitted`), returned alongside the report.
@@ -280,35 +283,29 @@ pub fn run_open_loop_observed(
     scheduler: SchedulerKind,
     executor: ExecutorKind,
 ) -> Result<(History, OpenLoopReport, Vec<snow_protocols::deploy::ShardEvent>)> {
-    let mut cluster =
-        build_cluster_observed(protocol, config, scheduler, executor, u64::MAX, Some(4096))?;
+    let mut cluster = ClusterSpec::new(protocol, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .max_steps(u64::MAX)
+        .trace_capacity(Some(4096))
+        .observed(true)
+        .build()?;
     let (history, report) = drive_open_loop(cluster.as_mut(), config, spec);
     let events = cluster.drain_obs_events();
     Ok((history, report, events))
 }
 
-/// [`run_open_loop`] followed by a full-history strict-serializability
-/// check ([`snow_checker::check_auto`]), mirroring
-/// [`crate::driver::WorkloadDriver::run_checked`].
-pub fn run_open_loop_checked(
-    protocol: ProtocolKind,
-    config: &SystemConfig,
-    spec: &OpenLoopSpec,
-    scheduler: SchedulerKind,
-    executor: ExecutorKind,
-) -> Result<(History, OpenLoopReport, Verdict)> {
-    run_open_loop_checked_mode(protocol, config, spec, scheduler, executor, CheckMode::PostHoc)
-}
-
-/// [`run_open_loop_checked`] with an explicit [`CheckMode`].
+/// [`run_open_loop`] followed by a strict-serializability check of the
+/// whole history, mirroring [`crate::driver::WorkloadDriver::run_checked_mode`].
 ///
-/// In [`CheckMode::Streaming`] a [`snow_checker::StreamChecker`] rides
-/// along with the run: after every completion wave the cluster's commit
-/// log is drained into the checker ([`Cluster::drain_commits`]) and the
-/// certification frontier advances past everything the simulator can no
-/// longer invoke before — so the verdict is produced incrementally, in
-/// RESP order, with memory bounded by the live window instead of the full
-/// history.  Works unchanged on both substrates (serial and sharded); on
+/// [`CheckMode::PostHoc`] hands the finished history to
+/// [`snow_checker::check_auto`].  In [`CheckMode::Streaming`] a
+/// [`snow_checker::StreamChecker`] rides along with the run: after every
+/// completion wave the cluster's commit log is drained into the checker
+/// ([`Cluster::drain_commits`]) and the certification frontier advances
+/// past everything the simulator can no longer invoke before — so the
+/// verdict is produced incrementally, in RESP order, with memory bounded
+/// by the live window instead of the full history.  Works unchanged on both substrates (serial and sharded); on
 /// the sharded one the drain itself holds back commits until they are
 /// globally final.  The verdicts of the two modes always agree.
 pub fn run_open_loop_checked_mode(
@@ -326,8 +323,12 @@ pub fn run_open_loop_checked_mode(
             Ok((history, report, verdict))
         }
         CheckMode::Streaming => {
-            let mut cluster =
-                build_cluster_on(protocol, config, scheduler, executor, u64::MAX, Some(4096))?;
+            let mut cluster = ClusterSpec::new(protocol, config)
+                .scheduler(scheduler)
+                .executor(executor)
+                .max_steps(u64::MAX)
+                .trace_capacity(Some(4096))
+                .build()?;
             let mut checker = snow_checker::StreamChecker::new();
             let (history, report) =
                 drive_open_loop_tapped(cluster.as_mut(), config, spec, &mut |cluster| {
@@ -484,12 +485,13 @@ mod tests {
         .unwrap();
         assert_eq!(sweep.points.len(), 2);
         assert_eq!(sweep.knee(), Some(400));
-        let (_, report, verdict) = run_open_loop_checked(
+        let (_, report, verdict) = run_open_loop_checked_mode(
             ProtocolKind::AlgC,
             &config,
             &OpenLoopSpec { rate: 100, ..base },
             latency_sched(),
             serial(),
+            CheckMode::PostHoc,
         )
         .unwrap();
         assert_eq!(report.completed, 200);

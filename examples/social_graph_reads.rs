@@ -7,7 +7,7 @@
 
 use snow::checker::{HistoryMetrics, SnowReport};
 use snow::core::SystemConfig;
-use snow::protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 fn main() {
@@ -18,12 +18,10 @@ fn main() {
         } else {
             SystemConfig::mwmr(8, 2, 2)
         };
-        let mut cluster = build_cluster(
-            protocol,
-            &config,
-            SchedulerKind::Latency { seed: 42, min: 1, max: 20 },
-        )
-        .unwrap();
+        let mut cluster = ClusterSpec::new(protocol, &config)
+            .scheduler(SchedulerKind::Latency { seed: 42, min: 1, max: 20 })
+            .build()
+            .unwrap();
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::tao_like());
         let (history, _report) =
             WorkloadDriver::new(config.num_clients() as usize).run(cluster.as_mut(), &mut generator, 600);

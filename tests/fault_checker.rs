@@ -17,9 +17,7 @@ use snow::core::{
     Value, WriteOutcome,
 };
 use snow_bench::golden;
-use snow_protocols::{
-    build_cluster_faulty, scenario_crash_mid_read, ExecutorKind, ProtocolKind, SchedulerKind,
-};
+use snow_protocols::{scenario_crash_mid_read, ClusterSpec, ExecutorKind, ProtocolKind};
 use snow_sim::{EndpointSel, FaultAction, FaultRegion, FaultSchedule};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
@@ -35,14 +33,12 @@ fn fault_workload_spec() -> WorkloadSpec {
 
 fn run_fault_combo_history(combo: &golden::FaultCombo, executor: ExecutorKind) -> History {
     let config = golden::combo_config(combo.protocol);
-    let mut cluster = build_cluster_faulty(
-        combo.protocol,
-        &config,
-        combo.scheduler,
-        executor,
-        golden::scenario_by_name(combo.scenario),
-    )
-    .expect("valid fault combo");
+    let mut cluster = ClusterSpec::new(combo.protocol, &config)
+        .scheduler(combo.scheduler)
+        .executor(executor)
+        .faults(golden::scenario_by_name(combo.scenario))
+        .build()
+        .expect("valid fault combo");
     let mut generator = WorkloadGenerator::new(&config, fault_workload_spec());
     let (history, _) =
         WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, golden::COMBO_TXNS);
@@ -114,14 +110,10 @@ fn graph_and_stream_agree_on_every_fault_combo() {
 fn crash_mid_read_never_wedges_the_frontier_or_fakes_serializable() {
     for protocol in ProtocolKind::all() {
         let config = golden::combo_config(protocol);
-        let mut cluster = build_cluster_faulty(
-            protocol,
-            &config,
-            SchedulerKind::Fifo,
-            ExecutorKind::SerialSim,
-            scenario_crash_mid_read(),
-        )
-        .expect("valid crash scenario");
+        let mut cluster = ClusterSpec::new(protocol, &config)
+            .faults(scenario_crash_mid_read())
+            .build()
+            .expect("valid crash scenario");
         let mut generator = WorkloadGenerator::new(&config, fault_workload_spec());
         let (history, report) =
             WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, golden::COMBO_TXNS);
@@ -229,14 +221,10 @@ fn orphaned_transaction_retires_as_aborted() {
         0,
         u64::MAX,
     ));
-    let mut cluster = build_cluster_faulty(
-        protocol,
-        &config,
-        SchedulerKind::Fifo,
-        ExecutorKind::SerialSim,
-        black_hole,
-    )
-    .expect("valid black-hole schedule");
+    let mut cluster = ClusterSpec::new(protocol, &config)
+        .faults(black_hole)
+        .build()
+        .expect("valid black-hole schedule");
     let reader = config.readers().next().expect("config has a reader");
     let tx = cluster.invoke_at(0, reader, TxSpec::read(vec![ObjectId(0)]));
     assert!(
@@ -262,14 +250,10 @@ fn paced_driver_survives_a_crash_without_stalling() {
     // workload must always be issued and retired.
     for protocol in [ProtocolKind::AlgB, ProtocolKind::Simple] {
         let config = golden::combo_config(protocol);
-        let mut cluster = build_cluster_faulty(
-            protocol,
-            &config,
-            SchedulerKind::Fifo,
-            ExecutorKind::SerialSim,
-            scenario_crash_mid_read(),
-        )
-        .expect("valid crash scenario");
+        let mut cluster = ClusterSpec::new(protocol, &config)
+            .faults(scenario_crash_mid_read())
+            .build()
+            .expect("valid crash scenario");
         let mut generator = WorkloadGenerator::new(&config, fault_workload_spec());
         let total = golden::COMBO_TXNS;
         let (_, report) =

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use snow::checker::{HistoryMetrics, SnowChecker, SnowReport};
 use snow::core::SystemConfig;
-use snow::protocols::{build_cluster, ProtocolKind, SchedulerKind};
+use snow::protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
 use snow::workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 fn run_random(protocol: ProtocolKind, seed: u64, total: usize, read_fraction: f64) -> SnowReport {
@@ -15,8 +15,10 @@ fn run_random(protocol: ProtocolKind, seed: u64, total: usize, read_fraction: f6
     } else {
         SystemConfig::mwmr(3, 2, 2)
     };
-    let mut cluster =
-        build_cluster(protocol, &config, SchedulerKind::Random(seed)).unwrap();
+    let mut cluster = ClusterSpec::new(protocol, &config)
+        .scheduler(SchedulerKind::Random(seed))
+        .build()
+        .unwrap();
     let spec = WorkloadSpec {
         read_fraction,
         objects_per_read: 2,
@@ -77,12 +79,10 @@ fn latency_signatures_match_fig1b() {
         } else {
             SystemConfig::mwmr(4, 3, 2)
         };
-        let mut cluster = build_cluster(
-            protocol,
-            &config,
-            SchedulerKind::Latency { seed: 3, min: 1, max: 15 },
-        )
-        .unwrap();
+        let mut cluster = ClusterSpec::new(protocol, &config)
+            .scheduler(SchedulerKind::Latency { seed: 3, min: 1, max: 15 })
+            .build()
+            .unwrap();
         let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
         let (history, _) = WorkloadDriver::new(5).run(cluster.as_mut(), &mut generator, 150);
         let metrics = HistoryMetrics::from_history(&history);
@@ -106,8 +106,10 @@ fn simple_reads_are_fast_but_not_transactional_under_adversity() {
     // beyond completion here (the torn-read demonstration lives in the
     // protocol's unit tests), but the latency floor must be one round.
     let config = SystemConfig::mwmr(4, 1, 1);
-    let mut cluster =
-        build_cluster(ProtocolKind::Simple, &config, SchedulerKind::Random(5)).unwrap();
+    let mut cluster = ClusterSpec::new(ProtocolKind::Simple, &config)
+        .scheduler(SchedulerKind::Random(5))
+        .build()
+        .unwrap();
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::uniform_read_mostly());
     let (history, _) = WorkloadDriver::new(2).run(cluster.as_mut(), &mut generator, 40);
     let metrics = HistoryMetrics::from_history(&history);

@@ -13,7 +13,7 @@ use snow::core::{
     TxSpec, Value, WriteOutcome,
 };
 use snow_bench::golden::{combo_config, combos, COMBO_TXNS};
-use snow_protocols::{build_cluster_on, ExecutorKind};
+use snow_protocols::ClusterSpec;
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 
 /// SplitMix64: deterministic per-seed stream for history generation.
@@ -145,15 +145,10 @@ proptest! {
 fn stream_agrees_with_check_auto_on_every_golden_combo() {
     for combo in combos() {
         let config = combo_config(combo.protocol);
-        let mut cluster = build_cluster_on(
-            combo.protocol,
-            &config,
-            combo.scheduler,
-            ExecutorKind::SerialSim,
-            snow_protocols::DEFAULT_MAX_STEPS,
-            None,
-        )
-        .expect("valid combo config");
+        let mut cluster = ClusterSpec::new(combo.protocol, &config)
+            .scheduler(combo.scheduler)
+            .build()
+            .expect("valid combo config");
         let spec = WorkloadSpec {
             read_fraction: 0.5,
             objects_per_read: 2,
