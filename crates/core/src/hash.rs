@@ -11,6 +11,9 @@
 //! Determinism note: swapping the hasher never changes observable
 //! behaviour here — the hot-path maps are only ever accessed by key, never
 //! iterated in an order that reaches output (golden histories pin this).
+//!
+//! [`splitmix64`] lives here too: the stateless mixer behind the
+//! simulator's per-message latency draws and fault gates.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -84,6 +87,17 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` hashed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
+/// SplitMix64 (Steele, Lea & Flood, OOPSLA '14) as a stateless mixer: the
+/// output the generator yields from state `x`.  The simulator derives
+/// per-message latency draws and fault gates from it, so a draw is a pure
+/// function of its inputs rather than of a draw-order RNG stream.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +123,14 @@ mod tests {
             hashes.insert(build.hash_one(i));
         }
         assert_eq!(hashes.len(), 10_000, "sequential u64 keys must not collide");
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_outputs() {
+        // The first two outputs of the reference generator seeded at 0.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! `(deployment, topology, seed, invocation plan)` — the shard count
 //! contributes nothing.  Four ingredients:
 //!
-//! 1. **Pure latencies.**  Each latency is derived with `splitmix64` —
+//! 1. **Pure latencies.**  Each latency is derived with [`splitmix64`] —
 //!    the same stateless-hash trick the fault engine's probabilistic
 //!    gates use — keyed on the message's **shard-invariant coordinates**:
 //!    source, destination, send tick, and the send's ordinal within its
@@ -62,6 +62,7 @@
 use crate::message::MsgId;
 use crate::pool::MessagePool;
 use crate::scheduler::Scheduler;
+use snow_core::hash::splitmix64;
 use snow_core::{ClientId, ProcessId, ServerId, SystemConfig};
 use std::sync::Arc;
 
@@ -451,15 +452,6 @@ fn pid_bits(id: ProcessId) -> u64 {
         ProcessId::Server(s) => (1 << 32) | s.0 as u64,
         ProcessId::Client(c) => (2 << 32) | c.0 as u64,
     }
-}
-
-/// SplitMix64 — the stateless mixer behind the per-message latency hash
-/// (the fault engine's probabilistic gates use the same construction).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -2,6 +2,10 @@
 # Tier-1 CI for the snow-rs workspace:
 #
 #   1. release build + full workspace test suite;
+#   1b. benchmark of record: e2e_bench (BENCHMARK.json) is a workspace of
+#      its own that builds against crates/* by path, so nothing above
+#      compiles it — build it in release and run its tests, so deleting
+#      an API it imports fails here instead of in the benchmark run;
 #   2. lints + documentation: `cargo clippy --workspace --all-targets`
 #      with warnings denied; `cargo doc --no-deps` must build with
 #      warnings denied (broken intra-doc links fail the build) and every
@@ -93,12 +97,13 @@
 #      pure function of (config, seeds, shards), which is what makes the
 #      observability goldens and the determinism proptests meaningful;
 #  12b. latency-draw confinement: in crates/sim, stateful RNG draws
-#      (`random_range`) may only appear in scheduler.rs, and the
-#      `splitmix64` hash may only be defined in topology.rs (pure
-#      per-message latency draws) and fault.rs (per-message fault gates).
-#      A draw site anywhere else means some engine path started minting
-#      latencies of its own, which silently breaks the shard-count
-#      independence the scenario matrix is pinned on.
+#      (`random_range`) may only appear in scheduler.rs.  The `splitmix64`
+#      hash has one definition in the workspace, snow_core::hash
+#      (crates/core/src/hash.rs), and inside crates/sim only topology.rs
+#      (pure per-message latency draws) and fault.rs (per-message fault
+#      gates) may use it.  A draw site anywhere else means some engine path
+#      started minting latencies of its own, which silently breaks the
+#      shard-count independence the scenario matrix is pinned on.
 #
 # Usage: scripts/ci.sh
 
@@ -110,6 +115,11 @@ cargo build --release
 
 echo "== test (workspace) =="
 cargo test --workspace -q
+
+echo "== benchmark of record (e2e_bench: release build + tests) =="
+cargo build --release --offline --manifest-path e2e_bench/Cargo.toml
+cargo test --offline --manifest-path e2e_bench/Cargo.toml -q
+echo "e2e_bench ok"
 
 echo "== clippy (workspace, all targets, warnings denied) =="
 cargo clippy --workspace --all-targets -q -- -D warnings
@@ -387,12 +397,20 @@ if [ -n "$rng_strays" ]; then
     echo "new latency models belong in topology.rs as pure per-message hashes." >&2
     exit 1
 fi
-hash_strays="$(grep -rn --include='*.rs' 'fn splitmix64' crates/sim/src \
+hash_defs="$(grep -rn --include='*.rs' 'fn splitmix64' crates src tests examples \
+    | grep -v '^crates/core/src/hash.rs:' || true)"
+if [ -n "$hash_defs" ]; then
+    echo "splitmix64 defined outside crates/core/src/hash.rs:" >&2
+    echo "$hash_defs" >&2
+    echo "The mixer has one home (snow_core::hash::splitmix64); import it." >&2
+    exit 1
+fi
+hash_strays="$(grep -rn --include='*.rs' 'splitmix64' crates/sim/src \
     | grep -v -e '^crates/sim/src/topology.rs:' -e '^crates/sim/src/fault.rs:' || true)"
 if [ -n "$hash_strays" ]; then
-    echo "splitmix64 defined outside topology.rs (latency draws) / fault.rs (fault gates):" >&2
+    echo "splitmix64 used in crates/sim outside topology.rs (latency draws) / fault.rs (fault gates):" >&2
     echo "$hash_strays" >&2
-    echo "Per-message hashing has exactly two homes; a third definition site" >&2
+    echo "Per-message hashing has exactly two call sites in the engine; a third" >&2
     echo "means an engine path started minting its own draws." >&2
     exit 1
 fi
