@@ -356,10 +356,13 @@ impl Trace {
         if info.kind != MsgKind::ReadResponse {
             return;
         }
-        // Only responses received by the invoking client count as
-        // read instrumentation.
-        if self.by_tx.get(&tx).and_then(|t| t.invoker) != Some(at) {
-            return;
+        // Only responses received by the invoking client before its RESP
+        // count as read instrumentation: a straggler (e.g. the answer to a
+        // duplicated request) arrives after the READ completed, when a
+        // bounded trace may already have pruned its causal parent.
+        match self.by_tx.get(&tx) {
+            Some(t) if t.invoker == Some(at) && !t.responded => {}
+            _ => return,
         }
         let Some(object) = info.object else {
             return; // metadata response (e.g. get-tag-arr)
@@ -765,6 +768,33 @@ mod tests {
         assert_eq!(reads[1].server, ServerId(1));
         assert_eq!(reads[1].versions_in_response, 1);
         assert!(t.read_results(TxId(9)).is_empty());
+    }
+
+    #[test]
+    fn read_results_freeze_at_resp() {
+        // A straggler response (the answer to a duplicated request) that
+        // reaches the invoker after RESP changes nothing, bounded or not.
+        let tx = TxId(1);
+        let straggle = |t: &mut Trace| {
+            let info = MsgInfo::read_response(tx, Some(ObjectId(0)), 1);
+            t.record(
+                10,
+                server(0),
+                ActionKind::Send { msg: MsgId(9), to: client(0), parent: Some(MsgId(0)), info },
+            );
+            t.record(11, client(0), ActionKind::Recv { msg: MsgId(9), from: server(0), info });
+        };
+        let mut full = two_round_trace();
+        let before = full.read_results(tx).to_vec();
+        straggle(&mut full);
+        assert_eq!(full.read_results(tx), before.as_slice());
+
+        let mut bounded = Trace::with_action_capacity(4);
+        for action in two_round_trace().actions() {
+            bounded.record(action.time, action.at, action.kind.clone());
+        }
+        straggle(&mut bounded);
+        assert_eq!(bounded.read_results(tx), before.as_slice());
     }
 
     /// Replays `n` copies of the two-round transaction pattern into `t`,

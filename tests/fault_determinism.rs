@@ -14,7 +14,9 @@
 //! * a 4-shard cluster is deterministic per seed (rerun-identical);
 //! * an *empty* `FaultSchedule` is structurally inert: a faulty cluster
 //!   with nothing scheduled reproduces the clean cluster's history
-//!   byte-for-byte for all 30 golden combos.
+//!   byte-for-byte for all 30 golden combos;
+//! * a bounded action trace records the unbounded trace's history under
+//!   every named fault scenario, straggler responses included.
 //!
 //! A proptest sweeps randomized schedules (drop/dup/delay regions, a
 //! queueing crash) through the same three executors to catch fault-path
@@ -23,9 +25,10 @@
 use proptest::proptest;
 use proptest::ProptestConfig;
 use snow_bench::golden;
-use snow_protocols::{ExecutorKind, ProtocolKind, SchedulerKind};
-use snow_core::ServerId;
+use snow_protocols::{fault_scenarios, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
+use snow_core::{ServerId, SystemConfig};
 use snow_sim::{Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule};
+use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use std::collections::BTreeMap;
 
 const FIXTURE: &str = include_str!("golden_fault_histories.txt");
@@ -110,6 +113,48 @@ fn four_shard_fault_histories_are_deterministic() {
             "{}: 4-shard fault run not reproducible",
             combo.label
         );
+    }
+}
+
+#[test]
+fn bounded_trace_matches_unbounded_under_faults() {
+    // `trace_capacity` is a memory knob: it may not change a history.  The
+    // dup storm is the sharp case — a duplicated read request's second
+    // response reaches the invoker after RESP, by which time a bounded
+    // trace has pruned the causal metadata an unbounded one still holds.
+    let config = SystemConfig::mwmr(4, 4, 4);
+    let scheduler = SchedulerKind::Latency { seed: 7, min: 1, max: 16 };
+    let protocols = [
+        ProtocolKind::AlgB,
+        ProtocolKind::AlgC,
+        ProtocolKind::Simple,
+        ProtocolKind::Blocking,
+        ProtocolKind::Eiger,
+    ];
+    for (scenario, schedule) in fault_scenarios() {
+        for protocol in protocols {
+            let run = |capacity| {
+                let mut cluster = ClusterSpec::new(protocol, &config)
+                    .scheduler(scheduler)
+                    .faults(schedule.clone())
+                    .trace_capacity(capacity)
+                    .build()
+                    .expect("valid fault config");
+                let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+                let (history, _) =
+                    WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 200);
+                history.records.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>()
+            };
+            let (unbounded, bounded) = (run(None), run(Some(64)));
+            assert_eq!(unbounded.len(), bounded.len(), "{protocol:?}/{scenario}");
+            let differing = unbounded.iter().zip(&bounded).filter(|(a, b)| a != b).count();
+            assert_eq!(
+                differing,
+                0,
+                "{protocol:?}/{scenario}: {differing} of {} records differ with a bounded trace",
+                unbounded.len()
+            );
+        }
     }
 }
 
