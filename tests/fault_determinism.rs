@@ -25,8 +25,8 @@
 use proptest::proptest;
 use proptest::ProptestConfig;
 use snow_bench::golden;
-use snow_protocols::{fault_scenarios, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
 use snow_core::{ServerId, SystemConfig};
+use snow_protocols::{fault_scenarios, ClusterSpec, ExecutorKind, ProtocolKind, SchedulerKind};
 use snow_sim::{Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule};
 use snow_workload::{WorkloadDriver, WorkloadGenerator, WorkloadSpec};
 use std::collections::BTreeMap;
