@@ -231,11 +231,6 @@ impl Trace {
         }
     }
 
-    /// The retained-action cap, if one was set.
-    pub fn action_capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Appends an action, assigning it the next sequence number and folding
     /// it into the derived indexes.
     pub fn record(&mut self, time: u64, at: ProcessId, kind: ActionKind) {
@@ -892,8 +887,6 @@ mod tests {
         replay_pattern(&mut full, 20);
         replay_pattern(&mut bounded, 20);
 
-        assert_eq!(bounded.action_capacity(), Some(8));
-        assert_eq!(full.action_capacity(), None);
         assert_eq!(full.len(), 200);
         assert_eq!(bounded.len(), 200, "len counts recorded, not retained");
         let window = bounded.actions();
