@@ -16,7 +16,8 @@
 //!   with nothing scheduled reproduces the clean cluster's history
 //!   byte-for-byte for all 30 golden combos;
 //! * a bounded action trace records the unbounded trace's history under
-//!   every named fault scenario, straggler responses included.
+//!   every named fault scenario, straggler responses included, on the
+//!   serial and the 2-shard engine.
 //!
 //! A proptest sweeps randomized schedules (drop/dup/delay regions, a
 //! queueing crash) through the same three executors to catch fault-path
@@ -131,29 +132,35 @@ fn bounded_trace_matches_unbounded_under_faults() {
         ProtocolKind::Blocking,
         ProtocolKind::Eiger,
     ];
+    let executors = [ExecutorKind::SerialSim, ExecutorKind::ParallelSim { shards: 2 }];
     for (scenario, schedule) in fault_scenarios() {
         for protocol in protocols {
-            let run = |capacity| {
-                let mut cluster = ClusterSpec::new(protocol, &config)
-                    .scheduler(scheduler)
-                    .faults(schedule.clone())
-                    .trace_capacity(capacity)
-                    .build()
-                    .expect("valid fault config");
-                let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
-                let (history, _) =
-                    WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 200);
-                history.records.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>()
-            };
-            let (unbounded, bounded) = (run(None), run(Some(64)));
-            assert_eq!(unbounded.len(), bounded.len(), "{protocol:?}/{scenario}");
-            let differing = unbounded.iter().zip(&bounded).filter(|(a, b)| a != b).count();
-            assert_eq!(
-                differing,
-                0,
-                "{protocol:?}/{scenario}: {differing} of {} records differ with a bounded trace",
-                unbounded.len()
-            );
+            for executor in executors {
+                let run = |capacity| {
+                    let mut cluster = ClusterSpec::new(protocol, &config)
+                        .scheduler(scheduler)
+                        .executor(executor)
+                        .faults(schedule.clone())
+                        .trace_capacity(capacity)
+                        .build()
+                        .expect("valid fault config");
+                    let mut generator =
+                        WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
+                    let (history, _) =
+                        WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 200);
+                    history.records.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>()
+                };
+                let (unbounded, bounded) = (run(None), run(Some(64)));
+                let case = format!("{protocol:?}/{scenario}/{executor:?}");
+                assert_eq!(unbounded.len(), bounded.len(), "{case}");
+                let differing = unbounded.iter().zip(&bounded).filter(|(a, b)| a != b).count();
+                assert_eq!(
+                    differing,
+                    0,
+                    "{case}: {differing} of {} records differ with a bounded trace",
+                    unbounded.len()
+                );
+            }
         }
     }
 }
