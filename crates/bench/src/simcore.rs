@@ -118,9 +118,9 @@ impl FloodStats {
 
 /// Runs the flood scenario with `in_flight` concurrent messages.
 ///
-/// The simulation runs in bounded-trace mode (window 4096, causality table
-/// pruned at RESP), so the 100k+/million-message rows measure the engine,
-/// not allocator pressure from an O(messages) action log.
+/// The simulation runs in bounded-trace mode (action window 4096), so the
+/// 100k+/million-message rows measure the engine, not allocator pressure
+/// from an O(messages) action log.
 pub fn run_flood(in_flight: usize, seed: u64) -> FloodStats {
     let mut sim = Simulation::new(LatencyScheduler::new(seed, 1, 64))
         .with_max_steps(4 * in_flight as u64 + 16)

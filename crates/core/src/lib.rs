@@ -52,7 +52,7 @@ pub use config::SystemConfig;
 pub use error::{Result, SnowError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use history::{History, ReadResult, TxRecord};
-pub use msg::{MsgId, MsgInfo, MsgKind, ProtocolMessage};
+pub use msg::{CausalSummary, MsgId, MsgInfo, MsgKind, ProtocolMessage};
 pub use process::{Effects, Process, Responses, Sends};
 pub use ids::{ClientId, ClientRole, ObjectId, ProcessId, ServerId, TxId};
 pub use key::{Key, Tag};

@@ -78,10 +78,10 @@ pub type Responses = SmallVec<[(TxId, TxOutcome); 2]>;
 
 /// The output-action buffer a handler writes into.
 ///
-/// All sends and responses emitted during one handler call are tagged by the
-/// execution substrate with the same causal parent (the message or
-/// invocation being handled), which is what produces the causality links in
-/// the trace and the round/non-blocking instrumentation.
+/// All sends emitted during one handler call share one causal parent (the
+/// message or invocation being handled): the execution substrate derives
+/// each send's [`crate::CausalSummary`] from it, which is what the
+/// round/non-blocking instrumentation is built on.
 #[derive(Debug)]
 pub struct Effects<M> {
     /// Current logical time (read-only for handlers; 0 on substrates without

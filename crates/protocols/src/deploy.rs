@@ -341,10 +341,9 @@ impl ClusterSpec {
     }
 
     /// Bounds the raw action trace to a sliding window of `capacity`
-    /// actions (`None` = unbounded).  The per-message causality table
-    /// behind the read instrumentation is pruned per transaction at RESP,
-    /// so memory stays O(window + in-flight) on long runs, and histories
-    /// are byte-identical either way.
+    /// actions (`None` = unbounded).  The window is all it bounds: the
+    /// causality behind the round and read instrumentation travels on the
+    /// messages, and histories are byte-identical either way.
     ///
     /// ```
     /// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};

@@ -5,14 +5,14 @@
 //! the simulator's `ClusterSpec` uses, so every protocol runs on both
 //! executors with no per-protocol wiring here.
 //!
-//! The runtime mirrors the simulator's causal instrumentation: every
-//! message carries a lightweight `MsgMeta` envelope (its classification,
-//! the destinations of its causal ancestors, and — for read responses —
-//! whether the server answered within the handler of the request), from
-//! which the cluster derives the same per-transaction round counts, C2C
-//! counts and per-read non-blocking/version measurements that
-//! `snow_sim::Trace` computes.  Runtime histories are therefore
-//! checker-ready, which is what the runtime/simulator parity harness
+//! The runtime shares the simulator's causal instrumentation: every
+//! message carries a `MsgMeta` envelope holding its classification and its
+//! [`CausalSummary`], the one primitive both substrates derive a send's
+//! round depth and a read response's non-blocking verdict from.  From
+//! those the cluster accumulates the same per-transaction round counts,
+//! C2C counts and per-read non-blocking/version measurements that
+//! `snow_sim::Trace` does.  Runtime histories are therefore checker-ready,
+//! which is what the runtime/simulator parity harness
 //! (`tests/runtime_parity.rs`) compares.
 //!
 //! Instrumentation cost: every tx-attributed send/receipt locks the
@@ -28,8 +28,8 @@
 
 use parking_lot::Mutex;
 use snow_core::{
-    ClientId, History, MsgInfo, MsgKind, Process, ProcessId, ProtocolMessage, ReadResult,
-    SnowError, SystemConfig, TxId, TxKind, TxOutcome, TxRecord, TxSpec,
+    CausalSummary, ClientId, History, MsgInfo, MsgKind, Process, ProcessId, ProtocolMessage,
+    ReadResult, SnowError, SystemConfig, TxId, TxKind, TxOutcome, TxRecord, TxSpec,
 };
 use snow_obs::{MetricsRegistry, MetricsSnapshot, ObsEvent, RecordingSink, ShardEvent, TraceSink};
 use snow_protocols::{deploy_any, AnyMsg, ProtocolKind};
@@ -41,25 +41,13 @@ use std::time::{Duration, Instant};
 use tokio::sync::{mpsc, oneshot};
 use tokio::task::JoinHandle;
 
-/// Causal metadata travelling with every runtime message — the runtime
-/// analogue of the simulator trace's parent links.
+/// Metadata travelling with every runtime message.
 #[derive(Debug, Clone)]
 struct MsgMeta {
     /// The message's protocol-agnostic classification.
     info: MsgInfo,
-    /// Per-process counts of the message's causal ancestors addressed to
-    /// that process (the ancestors being the input message of the handler
-    /// that sent it, that message's ancestor, and so on up to the
-    /// invocation).  A send's round depth relative to its sender is `1 +`
-    /// the sender's count — exactly `snow_sim::Trace`'s causal round
-    /// derivation.  Stored as counts rather than the raw destination chain
-    /// so the envelope stays O(#processes) even when causality threads
-    /// through arbitrarily long handler chains (e.g. a lock-grant convoy).
-    ancestor_dest_counts: Vec<(ProcessId, u32)>,
-    /// For read responses: the response was produced within the handler of
-    /// a read request of the same transaction (the N property's
-    /// non-blocking criterion).
-    nonblocking: bool,
+    /// The message's causal past (ancestor destinations, non-blocking bit).
+    causal: CausalSummary,
     /// Observability message id assigned at send time (0 when the cluster
     /// is not observed), so the delivery event correlates with the send.
     msg_id: u64,
@@ -267,33 +255,14 @@ impl<M: Send + 'static> AsyncCluster<M> {
                         Input::Shutdown => break,
                     };
                     let (sends, responses) = effects.into_parts();
-                    // Ancestors of the sends emitted by this handler: the
-                    // input message (addressed to this process) plus its own
-                    // ancestry.
-                    let ancestor_dest_counts: Vec<(ProcessId, u32)> = match &parent {
-                        Some(meta) => {
-                            let mut counts = meta.ancestor_dest_counts.clone();
-                            match counts.iter_mut().find(|(p, _)| *p == my_id) {
-                                Some((_, n)) => *n += 1,
-                                None => counts.push((my_id, 1)),
-                            }
-                            counts
-                        }
-                        None => Vec::new(),
-                    };
                     for (to, msg) in sends {
                         let info = msg.info();
-                        let msg_id = record_send(&shared, my_id, to, &info, &ancestor_dest_counts);
-                        let meta = MsgMeta {
-                            info,
-                            ancestor_dest_counts: ancestor_dest_counts.clone(),
-                            nonblocking: info.kind == MsgKind::ReadResponse
-                                && info.tx.is_some()
-                                && parent.as_ref().is_some_and(|p| {
-                                    p.info.kind == MsgKind::ReadRequest && p.info.tx == info.tx
-                                }),
-                            msg_id,
+                        let causal = match &parent {
+                            Some(p) => p.causal.child(my_id, &p.info, &info),
+                            None => CausalSummary::default(),
                         };
+                        let msg_id = record_send(&shared, my_id, to, &info, &causal);
+                        let meta = MsgMeta { info, causal, msg_id };
                         if let Some(inbox) = inboxes.get(&to) {
                             // A closed peer means the cluster is shutting
                             // down; dropping the message is fine then.
@@ -526,7 +495,7 @@ fn record_send(
     sender: ProcessId,
     to: ProcessId,
     info: &MsgInfo,
-    ancestor_dest_counts: &[(ProcessId, u32)],
+    causal: &CausalSummary,
 ) -> u64 {
     let Some(tx) = info.tx else { return 0 };
     let mut msg_id = 0;
@@ -558,12 +527,7 @@ fn record_send(
         return msg_id;
     }
     if ins.invoker == sender {
-        let hops = ancestor_dest_counts
-            .iter()
-            .find(|(p, _)| *p == sender)
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        ins.rounds = ins.rounds.max(1 + hops);
+        ins.rounds = ins.rounds.max(causal.round_depth(sender));
     }
     msg_id
 }
@@ -610,7 +574,7 @@ fn record_receipt(shared: &Shared, receiver: ProcessId, from: ProcessId, meta: &
         object,
         server,
         versions_in_response: info.versions.max(1),
-        nonblocking: meta.nonblocking,
+        nonblocking: meta.causal.nonblocking(),
     });
 }
 

@@ -38,12 +38,12 @@
 //! audited.
 
 use crate::fault::{CrashPolicy, FaultState, SendVerdict};
-use crate::message::{MsgId, PendingMessage, SimMessage as _};
+use crate::message::{CausalSummary, MsgId, MsgInfo, PendingMessage, SimMessage as _};
 use crate::pool::MessagePool;
 use crate::parallel::shard_of;
 use crate::scheduler::Scheduler;
 use crate::sim::Simulation;
-use crate::trace::{ActionKind, CausalEnvelope, Trace};
+use crate::trace::{ActionKind, Trace};
 use snow_core::{
     ClientId, Effects, History, Process, ProcessId, TxId, TxKind, TxOutcome, TxRecord, TxSpec,
 };
@@ -90,21 +90,6 @@ impl Ord for QueuedInvocation {
     }
 }
 
-/// A cross-shard message in transit, carrying its causal metadata.
-pub(crate) struct Transit<M> {
-    pub(crate) msg: PendingMessage<M>,
-    pub(crate) causality: Option<CausalEnvelope>,
-}
-
-impl<M> Transit<M> {
-    /// The delivery-queue key the destination pool will use
-    /// ([`PendingMessage::delivery_key`] — one rule, shared with
-    /// [`MessagePool`]'s heap, so routing order and pool order agree).
-    pub(crate) fn key(&self) -> u64 {
-        self.msg.delivery_key()
-    }
-}
-
 /// One dispatch core: a self-contained engine over a subset (possibly all)
 /// of a deployment's processes.  See the module docs for how the serial
 /// and sharded substrates wrap it.
@@ -139,8 +124,9 @@ pub(crate) struct DispatchCore<P: Process, S, O: TraceSink = NullSink> {
     /// O(records) scan per drain.
     pub(crate) in_flight: BTreeSet<(u64, TxId)>,
     /// Sends addressed to processes of another core, buffered for the
-    /// epoch exchange.  Always empty at stride 1 (everything is local).
-    pub(crate) outbox: Vec<Transit<P::Msg>>,
+    /// epoch exchange (each carries its causal summary).  Always empty at
+    /// stride 1 (everything is local).
+    pub(crate) outbox: Vec<PendingMessage<P::Msg>>,
     /// Observability sink (virtual-time events only; `NullSink` by
     /// default, which compiles the emission sites away).
     pub(crate) sink: O,
@@ -247,12 +233,9 @@ where
         self.pool.is_empty() && self.invocations.is_empty() && self.outbox.is_empty()
     }
 
-    /// Folds a routed cross-shard message into the local pool and trace.
-    pub(crate) fn accept(&mut self, transit: Transit<P::Msg>) {
-        if let Some(causality) = transit.causality {
-            self.trace.import_envelope(transit.msg.id, causality);
-        }
-        self.pool.insert(transit.msg);
+    /// Folds a routed cross-shard message into the local pool.
+    pub(crate) fn accept(&mut self, msg: PendingMessage<P::Msg>) {
+        self.pool.insert(msg);
     }
 
     /// The earliest virtual time at which this core could take a step
@@ -457,10 +440,11 @@ where
             self.now
         );
         let info = msg.msg.info();
+        let nonblocking = msg.causal.nonblocking();
         self.trace.record(
             self.now,
             msg.dst,
-            ActionKind::Recv { msg: msg.id, from: msg.src, info },
+            ActionKind::Recv { msg: msg.id, from: msg.src, info, nonblocking },
         );
         if O::ENABLED {
             self.sink.emit(ObsEvent::MessageDelivered {
@@ -479,31 +463,32 @@ where
             .get_mut(&msg.dst)
             .unwrap_or_else(|| panic!("message to unknown process {}", msg.dst));
         process.on_message(msg.src, msg.msg, &mut effects);
-        self.apply_effects(msg.dst, Some(msg.id), effects);
-        // Bounded mode: this core only needs a delivered message's causal
-        // metadata for aggregates of transactions *invoked here* (the
-        // records map is exactly that set) — RESP-time pruning covers
-        // those.  Anything else would leak until the run ends, since no
-        // local RESP will ever drop it; prune it now that the handler's
-        // sends have folded its chain.  (At stride 1 every transaction is
-        // invoked here, so this never fires on the serial engine.)
-        if self.stride > 1
-            && info.tx.map(|tx| !self.records.contains_key(&tx)).unwrap_or(false)
-        {
-            self.trace.prune_meta(msg.id);
-        }
+        self.apply_effects(msg.dst, Some((&msg.causal, &info)), effects);
     }
 
-    fn apply_effects(&mut self, at: ProcessId, parent: Option<MsgId>, effects: Effects<P::Msg>) {
+    /// Records and routes the effects of one handler run at `at`.  `parent`
+    /// is the handled message's summary and classification (`None` for an
+    /// invocation); every send derives its own summary from it.
+    fn apply_effects(
+        &mut self,
+        at: ProcessId,
+        parent: Option<(&CausalSummary, &MsgInfo)>,
+        effects: Effects<P::Msg>,
+    ) {
         let (sends, responses) = effects.into_parts();
         for (to, m) in sends {
             let id = MsgId(self.next_msg);
             self.next_msg += self.stride;
             let info = m.info();
+            let causal = match parent {
+                Some((summary, parent_info)) => summary.child(at, parent_info, &info),
+                None => CausalSummary::default(),
+            };
+            let round = causal.round_depth(at);
             self.trace.record(
                 self.now,
                 at,
-                ActionKind::Send { msg: id, to, parent, info },
+                ActionKind::Send { msg: id, to, round, info },
             );
             // The scheduler always sees the send (its latency/RNG draw
             // sequence is part of the determinism contract), then the fault
@@ -521,8 +506,7 @@ where
             }
             if verdict.dropped {
                 // Sent, never inserted: the trace keeps the Send record (a
-                // drop is an event of the run), but the causal meta can
-                // never be walked again.
+                // drop is an event of the run).
                 if O::ENABLED {
                     self.sink.emit(ObsEvent::MessageSent {
                         at: self.now,
@@ -541,7 +525,6 @@ where
                         dst: to,
                     });
                 }
-                self.trace.prune_meta(id);
                 continue;
             }
             let deliver_at = if verdict.extra_delay > 0 || verdict.hold_until.is_some() {
@@ -550,26 +533,23 @@ where
             } else {
                 deliver_at
             };
-            let dup = verdict.duplicate.then(|| m.clone());
+            // The duplicate was sent by the same handler, so it carries the
+            // original's summary.
+            let dup = verdict.duplicate.then(|| (m.clone(), causal.clone()));
             let pending = PendingMessage {
                 id,
                 src: at,
                 dst: to,
                 msg: m,
                 sent_at: self.now,
-                parent,
+                causal,
                 deliver_at,
             };
             let local = self.is_local(to);
             if local {
                 self.pool.insert(pending);
             } else {
-                let causality = self.trace.export_envelope(id);
-                // Bounded mode: the local meta of a departed message can
-                // never be walked again on this core — only its envelope
-                // travels on.
-                self.trace.prune_meta(id);
-                self.outbox.push(Transit { msg: pending, causality });
+                self.outbox.push(pending);
             }
             if O::ENABLED {
                 self.sink.emit(ObsEvent::MessageSent {
@@ -583,7 +563,7 @@ where
                     cross_shard: !local,
                 });
             }
-            if let Some(copy) = dup {
+            if let Some((copy, causal)) = dup {
                 // The duplicate is a first-class message: its own
                 // (shard-strided) id, its own Send record, its own
                 // scheduler draw.  It is not re-evaluated against the fault
@@ -593,7 +573,7 @@ where
                 self.trace.record(
                     self.now,
                     at,
-                    ActionKind::Send { msg: dup_id, to, parent, info },
+                    ActionKind::Send { msg: dup_id, to, round, info },
                 );
                 let dup_deliver = self.scheduler.on_send_to(at, to, dup_id, self.now);
                 let dup_pending = PendingMessage {
@@ -602,15 +582,13 @@ where
                     dst: to,
                     msg: copy,
                     sent_at: self.now,
-                    parent,
+                    causal,
                     deliver_at: dup_deliver,
                 };
                 if local {
                     self.pool.insert(dup_pending);
                 } else {
-                    let causality = self.trace.export_envelope(dup_id);
-                    self.trace.prune_meta(dup_id);
-                    self.outbox.push(Transit { msg: dup_pending, causality });
+                    self.outbox.push(dup_pending);
                 }
                 if O::ENABLED {
                     self.sink.emit(ObsEvent::MessageSent {
@@ -658,8 +636,7 @@ where
     fn enriched_record(&self, rec: &TxRecord, c2c_of: &impl Fn(TxId) -> u32) -> TxRecord {
         let tx = rec.tx_id;
         let mut rec = rec.clone();
-        let client = ProcessId::Client(rec.client);
-        rec.rounds = self.trace.rounds_of(tx, client);
+        rec.rounds = self.trace.rounds_of(tx);
         rec.c2c_messages = c2c_of(tx);
         if rec.kind() == TxKind::Read {
             rec.reads = self.trace.read_results(tx).to_vec();
@@ -770,7 +747,6 @@ where
                             dst: msg.dst,
                         });
                     }
-                    self.trace.prune_meta(msg.id);
                 }
                 CrashPolicy::QueueInFlight => {
                     // Held for the restarted process: re-queued with its

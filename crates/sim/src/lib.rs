@@ -21,10 +21,11 @@
 //!   removal), so every scheduler decides in O(log n) — see [`pool`] and
 //!   [`scheduler`] for the complexity contract;
 //! * every external action (INV, RESP, send, recv) is recorded in a
-//!   [`Trace`], with causal parent links from a delivered message to the
-//!   messages its handler sent.  The trace is what lets `snow-checker`
-//!   verify the N (non-blocking) and O (one-response) properties without
-//!   trusting the protocol's self-reporting;
+//!   [`Trace`].  Each message carries a [`CausalSummary`] of its causal
+//!   past, from which the engine derives every send's round depth and
+//!   every read response's non-blocking bit.  That is what lets
+//!   `snow-checker` verify the N (non-blocking) and O (one-response)
+//!   properties without trusting the protocol's self-reporting;
 //! * the simulation also assembles the [`snow_core::History`] of the run.
 //!
 //! The serial simulator is single-threaded and fully deterministic given
@@ -63,7 +64,7 @@ pub use fault::{
     Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule, Partition,
     PartitionPolicy, RestartFn,
 };
-pub use message::{MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage};
+pub use message::{CausalSummary, MsgId, MsgInfo, MsgKind, PendingMessage, SimMessage};
 pub use parallel::ParallelSimulation;
 pub use pool::MessagePool;
 pub use snow_core::{Effects, Process};
@@ -71,4 +72,4 @@ pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
 pub use scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler, Scheduler};
 pub use sim::{CommitDrain, InvocationPlan, Simulation, StepOutcome};
 pub use topology::{LinkDist, Topology, TopologyScheduler, TICK};
-pub use trace::{Action, ActionKind, CausalEnvelope, Trace};
+pub use trace::{Action, ActionKind, Trace};

@@ -1,12 +1,12 @@
 //! Messages in flight on the simulated network.
 //!
-//! The protocol-agnostic classification vocabulary ([`MsgId`], [`MsgKind`],
-//! [`MsgInfo`], [`SimMessage`]) lives in `snow-core` (`snow_core::msg`) so
-//! that every execution substrate shares it; this module re-exports it and
-//! adds the simulator-specific [`PendingMessage`] envelope (send time,
-//! causal parent, scheduler-assigned delivery time).
+//! The protocol-agnostic vocabulary ([`MsgId`], [`MsgKind`], [`MsgInfo`],
+//! [`CausalSummary`], [`SimMessage`]) lives in `snow-core`
+//! (`snow_core::msg`) so that every execution substrate shares it; this
+//! module re-exports it and adds the simulator-specific [`PendingMessage`]
+//! envelope (send time, causal summary, scheduler-assigned delivery time).
 
-pub use snow_core::{MsgId, MsgInfo, MsgKind};
+pub use snow_core::{CausalSummary, MsgId, MsgInfo, MsgKind};
 
 /// Re-export of [`snow_core::ProtocolMessage`] under its historical
 /// simulator name.
@@ -27,8 +27,9 @@ pub struct PendingMessage<M> {
     pub msg: M,
     /// Simulation time at which the send action occurred.
     pub sent_at: u64,
-    /// The message whose handler produced this send, if any (causal parent).
-    pub parent: Option<MsgId>,
+    /// The message's causal summary: travels with it, so any shard that
+    /// delivers it derives the same rounds and non-blocking verdict.
+    pub causal: CausalSummary,
     /// Delivery time assigned by a latency-modelling scheduler, if any.
     pub deliver_at: Option<u64>,
 }
@@ -47,26 +48,10 @@ impl<M> PendingMessage<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snow_core::ClientId;
 
     #[derive(Debug, Clone)]
     struct Dummy;
     impl SimMessage for Dummy {}
-
-    #[test]
-    fn pending_message_carries_causality() {
-        let p = PendingMessage {
-            id: MsgId(5),
-            src: ProcessId::Client(ClientId(0)),
-            dst: ProcessId::Client(ClientId(1)),
-            msg: Dummy,
-            sent_at: 10,
-            parent: Some(MsgId(2)),
-            deliver_at: None,
-        };
-        assert_eq!(p.id.to_string(), "m5");
-        assert_eq!(p.parent, Some(MsgId(2)));
-    }
 
     #[test]
     fn core_trait_is_usable_under_the_sim_alias() {

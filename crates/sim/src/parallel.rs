@@ -30,9 +30,9 @@
 //!    serial engine (a random scheduler may well deliver a message keyed
 //!    past the watermark while earlier ones are pending);
 //! 4. the leader routes the union of the outboxes in `(deliver_at,
-//!    MsgId)` order to the destination shards, together with each
-//!    message's [`crate::CausalEnvelope`] so the receiving shard's trace keeps
-//!    deriving exact round counts and non-blocking verdicts.
+//!    MsgId)` order to the destination shards.  Each message carries its
+//!    [`crate::CausalSummary`], so the receiving shard derives the same
+//!    round counts and non-blocking verdicts the sending shard would.
 //!
 //! Every decision in this cycle — watermark, routing order, per-shard
 //! scheduling — is a pure function of per-shard state, so **the observable
@@ -59,7 +59,8 @@
 //! semantically equal on serial plans — pinned by the multi-shard cases in
 //! `runtime_parity`.
 
-use crate::engine::{DispatchCore, QueuedInvocation, Transit};
+use crate::engine::{DispatchCore, QueuedInvocation};
+use crate::message::PendingMessage;
 use crate::fault::{FaultSchedule, FaultState, RestartFn};
 use crate::scheduler::Scheduler;
 use crate::sim::CommitDrain;
@@ -101,9 +102,9 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
 /// Shared barrier state of one parallel run.
 struct ExchangeState<M> {
     /// Cross-shard messages buffered by the epoch that just ran.
-    outbound: Vec<Transit<M>>,
+    outbound: Vec<PendingMessage<M>>,
     /// Messages routed to each shard, applied at the top of the next epoch.
-    inbound: Vec<Vec<Transit<M>>>,
+    inbound: Vec<Vec<PendingMessage<M>>>,
     /// Per-shard next-processable virtual times.
     reports: Vec<Option<u64>>,
     /// Set by the shard owning a watched transaction once it completes.
@@ -250,7 +251,9 @@ where
 
     /// Bounds every shard's trace to a sliding window of `capacity` recent
     /// actions (see [`Trace::with_action_capacity`]); aggregates — and
-    /// therefore [`ParallelSimulation::history`] — are unaffected.
+    /// therefore [`ParallelSimulation::history`] — are unaffected.  The
+    /// window is the only trace state that grows with the run: causality
+    /// travels on the messages.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         for shard in &mut self.shards {
             assert!(
@@ -526,8 +529,8 @@ fn worker<P, S, O>(
             std::mem::take(&mut st.inbound[shard.index])
         };
         if !dead {
-            for transit in inbound {
-                shard.accept(transit);
+            for msg in inbound {
+                shard.accept(msg);
             }
         }
         {
@@ -574,10 +577,10 @@ fn worker<P, S, O>(
         if barrier.wait().is_leader() {
             let mut st = state.lock().expect("exchange lock");
             let mut outbound = std::mem::take(&mut st.outbound);
-            outbound.sort_by_key(|t| (t.key(), t.msg.id.0));
-            for transit in outbound {
-                let dest = shard_of(transit.msg.dst, shard_count);
-                st.inbound[dest].push(transit);
+            outbound.sort_by_key(|m| (m.delivery_key(), m.id.0));
+            for msg in outbound {
+                let dest = shard_of(msg.dst, shard_count);
+                st.inbound[dest].push(msg);
             }
         }
         barrier.wait();
@@ -800,20 +803,17 @@ mod tests {
             }
             plan(&mut sim, 4);
             sim.run_until_quiescent();
-            let metas: Vec<usize> =
-                (0..sim.num_shards()).map(|s| sim.trace(s).causal_meta_len()).collect();
-            (format!("{:?}", sim.history()), metas)
+            let windows: Vec<usize> =
+                (0..sim.num_shards()).map(|s| sim.trace(s).actions().len()).collect();
+            (format!("{:?}", sim.history()), windows)
         };
-        let (unbounded_history, unbounded_metas) = run(None);
-        let (bounded_history, bounded_metas) = run(Some(32));
+        let (unbounded_history, unbounded_windows) = run(None);
+        let (bounded_history, bounded_windows) = run(Some(32));
         // Same seeds, same schedule, same derived history — aggregates do
-        // not depend on the retained window or the pruned metadata.
+        // not depend on the retained window.
         assert_eq!(bounded_history, unbounded_history);
-        // Every transaction responded and every cross-shard/foreign meta
-        // was pruned (at export, delivery, or RESP): nothing remains.
-        assert_eq!(bounded_metas, vec![0; 4], "bounded shards must drain their meta tables");
-        // The unbounded engine keeps one meta per send per shard.
-        assert!(unbounded_metas.iter().sum::<usize>() > 100);
+        assert!(bounded_windows.iter().all(|&n| n <= 64), "window bounded at 2×capacity");
+        assert!(unbounded_windows.iter().sum::<usize>() > 4 * 64);
     }
 
     #[test]

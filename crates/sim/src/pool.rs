@@ -375,6 +375,7 @@ impl<M> MessagePool<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::CausalSummary;
     use snow_core::{ClientId, ProcessId, ServerId};
 
     #[derive(Debug, Clone)]
@@ -388,7 +389,7 @@ mod tests {
             dst: ProcessId::Server(ServerId(0)),
             msg: M,
             sent_at,
-            parent: None,
+            causal: CausalSummary::default(),
             deliver_at,
         }
     }

@@ -201,7 +201,7 @@ impl<M> Scheduler<M> for LatencyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MsgId, PendingMessage};
+    use crate::message::{CausalSummary, MsgId, PendingMessage};
     use snow_core::{ClientId, ProcessId, ServerId};
 
     #[derive(Debug, Clone)]
@@ -215,7 +215,7 @@ mod tests {
             dst: ProcessId::Server(ServerId(0)),
             msg: M,
             sent_at,
-            parent: None,
+            causal: CausalSummary::default(),
             deliver_at,
         }
     }

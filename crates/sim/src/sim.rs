@@ -14,7 +14,7 @@
 //!   scheduling n invocations is O(n log n) total (the old sorted-`Vec`
 //!   insert was O(n² log n)) and the next due invocation is an O(1) peek;
 //! * the [`Trace`] folds every recorded action into per-transaction indexes
-//!   (rounds, C2C counts, read instrumentation, parent links), so
+//!   (rounds, C2C counts, read instrumentation), so
 //!   [`Simulation::history`] is a single pass over the transaction records
 //!   instead of O(transactions × actions).
 //!
@@ -147,11 +147,9 @@ where
     /// `capacity` recent actions (see [`Trace::with_action_capacity`]).
     /// The per-transaction aggregates — and therefore
     /// [`Simulation::history`] — are byte-for-byte unaffected; only
-    /// retrospective action inspection loses evicted entries.  The
-    /// per-message causality table is pruned per transaction at RESP, so a
-    /// bounded run's trace memory is O(window + in-flight), which is what
-    /// the workload driver and the flood benches use for the
-    /// 100k+/million-transaction rows.
+    /// retrospective action inspection loses evicted entries.  Causality
+    /// travels on the messages, so the window is the only trace state this
+    /// bounds; the flood benches use it for their 100k+-transaction rows.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         assert!(
             self.core.trace.is_empty(),

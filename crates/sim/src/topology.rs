@@ -457,7 +457,7 @@ fn pid_bits(id: ProcessId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::PendingMessage;
+    use crate::message::{CausalSummary, PendingMessage};
 
     #[derive(Debug, Clone)]
     struct M;
@@ -637,7 +637,7 @@ mod tests {
                 dst: C0,
                 msg: M,
                 sent_at,
-                parent: None,
+                causal: CausalSummary::default(),
                 deliver_at: Some(7000),
             });
         }
@@ -670,7 +670,7 @@ mod tests {
                 dst: S0,
                 msg: M,
                 sent_at: 0,
-                parent: None,
+                causal: CausalSummary::default(),
                 deliver_at: Some(key),
             });
         }
