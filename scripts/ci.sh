@@ -104,6 +104,13 @@
 #      gates) may use it.  A draw site anywhere else means some engine path
 #      started minting latencies of its own, which silently breaks the
 #      shard-count independence the scenario matrix is pinned on.
+#  12c. causality travels on the message: snow_core's `CausalSummary`
+#      (defined only in crates/core/src/msg.rs) is the one place round
+#      depth and the non-blocking bit are derived, on every substrate.
+#      The per-message causality table it replaced (`send_meta`,
+#      `prune_meta`, `chain_depth`, `CausalEnvelope`) and the runtime's
+#      private copy (`ancestor_dest_counts`) may not reappear in
+#      crates src tests examples.
 #
 # Usage: scripts/ci.sh
 
@@ -415,5 +422,20 @@ if [ -n "$hash_strays" ]; then
     exit 1
 fi
 echo "latency draws confined"
+
+echo "== causal summary has one home (crates/core/src/msg.rs) =="
+causal_strays="$(grep -rnwE --include='*.rs' \
+    'CausalEnvelope|send_meta|prune_meta|chain_depth|ancestor_dest_counts' \
+    crates src tests examples || true)"
+summary_defs="$(grep -rnE --include='*.rs' '(struct|enum|type) CausalSummary\b' \
+    crates src tests examples | grep -v '^crates/core/src/msg.rs:' || true)"
+if [ -n "$causal_strays" ] || [ -n "$summary_defs" ]; then
+    echo "causal derivation outside snow_core::CausalSummary:" >&2
+    echo "$causal_strays$summary_defs" >&2
+    echo "Messages carry their causal summary; derive rounds and N from it" >&2
+    echo "(CausalSummary::child / round_depth) instead of a per-message table." >&2
+    exit 1
+fi
+echo "causal summary unified"
 
 echo "CI green"
