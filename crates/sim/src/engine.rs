@@ -233,11 +233,6 @@ where
         self.pool.is_empty() && self.invocations.is_empty() && self.outbox.is_empty()
     }
 
-    /// Folds a routed cross-shard message into the local pool.
-    pub(crate) fn accept(&mut self, msg: PendingMessage<P::Msg>) {
-        self.pool.insert(msg);
-    }
-
     /// The earliest virtual time at which this core could take a step
     /// under the dispatch rules, or `None` if it has no work.  Exactly two
     /// dispatch cases exist: a due invocation (planned time reached, or

@@ -252,8 +252,7 @@ where
     /// Bounds every shard's trace to a sliding window of `capacity` recent
     /// actions (see [`Trace::with_action_capacity`]); aggregates — and
     /// therefore [`ParallelSimulation::history`] — are unaffected.  The
-    /// window is the only trace state that grows with the run: causality
-    /// travels on the messages.
+    /// window is all it bounds: causality travels on the messages.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         for shard in &mut self.shards {
             assert!(
@@ -530,7 +529,7 @@ fn worker<P, S, O>(
         };
         if !dead {
             for msg in inbound {
-                shard.accept(msg);
+                shard.pool.insert(msg);
             }
         }
         {

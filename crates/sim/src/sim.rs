@@ -558,6 +558,32 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicated_response_carries_its_originals_summary() {
+        use crate::fault::{EndpointSel, FaultAction, FaultRegion};
+        let dup = FaultRegion::always(
+            FaultAction::Duplicate,
+            EndpointSel::AnyServer,
+            EndpointSel::AnyClient,
+            0,
+            u64::MAX,
+        );
+        let mut sim = toy_sim(FifoScheduler::new())
+            .with_faults(FaultSchedule::new(0).with_region(dup), None);
+        sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
+        for _ in 0..3 {
+            sim.step(); // the invocation, then both requests
+        }
+        let responses: Vec<_> = sim.pending().collect();
+        assert_eq!(responses.len(), 4, "each response travels twice");
+        for pair in responses.chunks(2) {
+            assert_ne!(pair[0].id, pair[1].id, "the duplicate has its own id");
+            assert_eq!(pair[0].causal, pair[1].causal);
+            assert!(pair[1].causal.nonblocking());
+            assert_eq!(pair[1].causal.round_depth(pair[1].src), 2);
+        }
+    }
+
+    #[test]
     fn bounded_trace_mode_preserves_histories() {
         let run = |capacity: Option<usize>| {
             let mut sim = toy_sim(RandomScheduler::new(11));
