@@ -3,8 +3,7 @@
 //! executors is tracked across PRs:
 //!
 //! * `sim_core` flood — raw simulator step-loop throughput at a controlled
-//!   number of in-flight messages (bounded-trace mode, so the large rows
-//!   measure the engine, not the action log);
+//!   number of in-flight messages;
 //! * `parallel_flood` — the same flood split across client/server pairs,
 //!   run on the serial engine (baseline) and on the sharded parallel
 //!   engine (`ParallelSimulation`, one worker thread per shard); the
@@ -22,8 +21,8 @@
 //!   curves first, then the sharded engine's (`"executor": "parallel4"`);
 //! * `checker_throughput` — transactions per second of the graph-based
 //!   strict-serializability checker over full workload-driver histories
-//!   (1k/10k/100k transactions, bounded-trace clusters).  Every row must be
-//!   a definite verdict: `Unknown` aborts the bench;
+//!   (1k/10k/100k transactions).  Every row must be a definite verdict:
+//!   `Unknown` aborts the bench;
 //! * `checker_stream` — the incremental streaming checker
 //!   (`snow_checker::StreamChecker`) over the same commit streams:
 //!   throughput, peak live-window size (its memory bound) and the
@@ -169,15 +168,14 @@ fn open_loop_zipf(protocol: ProtocolKind, config: &SystemConfig, executor: Execu
 }
 
 /// The shared checker-bench workload: `transactions` write-heavy
-/// transactions driven through an Algorithm B cluster in bounded-trace
-/// mode.  Both checker sections (`checker_throughput` and
-/// `checker_stream`) measure over this same history shape.
+/// transactions driven through an Algorithm B cluster.  Both checker
+/// sections (`checker_throughput` and `checker_stream`) measure over this
+/// same history shape.
 fn checker_bench_history(transactions: usize) -> History {
     let config = SystemConfig::mwmr(8, 4, 4);
     let mut cluster = ClusterSpec::new(ProtocolKind::AlgB, &config)
         .scheduler(SchedulerKind::Latency { seed: 11, min: 1, max: 16 })
         .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
         .build()
         .expect("valid bench config");
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
@@ -188,8 +186,8 @@ fn checker_bench_history(transactions: usize) -> History {
 }
 
 /// One `checker_throughput` measurement: drives `transactions` through an
-/// Algorithm B cluster in bounded-trace mode and times the graph checker
-/// over the complete history (best of `reps`, least noisy).
+/// Algorithm B cluster and times the graph checker over the complete
+/// history (best of `reps`, least noisy).
 fn checker_row(transactions: usize, reps: usize) -> String {
     let history = checker_bench_history(transactions);
     let mut wall = std::time::Duration::MAX;

@@ -118,13 +118,11 @@ impl FloodStats {
 
 /// Runs the flood scenario with `in_flight` concurrent messages.
 ///
-/// The simulation runs in bounded-trace mode (action window 4096), so the
-/// 100k+/million-message rows measure the engine, not allocator pressure
-/// from an O(messages) action log.
+/// The trace stores no actions, so the 100k+/million-message rows measure
+/// the engine, not allocator pressure from an O(messages) action log.
 pub fn run_flood(in_flight: usize, seed: u64) -> FloodStats {
     let mut sim = Simulation::new(LatencyScheduler::new(seed, 1, 64))
-        .with_max_steps(4 * in_flight as u64 + 16)
-        .with_trace_capacity(4096);
+        .with_max_steps(4 * in_flight as u64 + 16);
     sim.add_process(FloodNode::Client {
         id: ClientId(0),
         server: ServerId(0),
@@ -175,8 +173,7 @@ fn paired_plan(in_flight: usize, pairs: usize) -> Vec<(ClientId, TxSpec)> {
 /// baseline the `parallel_flood` speedups are measured against.
 pub fn run_flood_paired(in_flight: usize, seed: u64, pairs: usize) -> FloodStats {
     let mut sim = Simulation::new(LatencyScheduler::new(seed, 1, 64))
-        .with_max_steps(4 * in_flight as u64 + 64)
-        .with_trace_capacity(4096);
+        .with_max_steps(4 * in_flight as u64 + 64);
     for node in paired_nodes(pairs) {
         sim.add_process(node);
     }
@@ -206,8 +203,7 @@ pub fn run_flood_parallel(in_flight: usize, seed: u64, pairs: usize, shards: usi
     // The paired flood is shard-disjoint, so wide epochs lose no
     // cross-shard fidelity and keep the barrier off the hot path.
     .with_epoch_width(4096)
-    .with_max_steps(4 * in_flight as u64 + 64)
-    .with_trace_capacity(4096);
+    .with_max_steps(4 * in_flight as u64 + 64);
     for node in paired_nodes(pairs) {
         sim.add_process(node);
     }

@@ -250,15 +250,14 @@ enum SchedChoice {
 }
 
 /// The single cluster-construction path: a builder crossing protocol ×
-/// scheduler/topology × executor × step cap × trace bound × observability ×
-/// fault schedule.
+/// scheduler/topology × executor × step cap × observability × fault
+/// schedule.
 ///
 /// | axis | setter | default |
 /// |---|---|---|
 /// | message delivery | [`ClusterSpec::scheduler`] / [`ClusterSpec::topology`] | [`SchedulerKind::Fifo`] |
 /// | substrate | [`ClusterSpec::executor`] | [`ExecutorKind::SerialSim`] |
 /// | step cap | [`ClusterSpec::max_steps`] | [`DEFAULT_MAX_STEPS`] |
-/// | action-trace window | [`ClusterSpec::trace_capacity`] | unbounded |
 /// | event recording | [`ClusterSpec::observed`] | off ([`NullSink`]) |
 /// | fault injection | [`ClusterSpec::faults`] | none |
 ///
@@ -287,7 +286,6 @@ pub struct ClusterSpec {
     sched: SchedChoice,
     executor: ExecutorKind,
     max_steps: u64,
-    trace_capacity: Option<usize>,
     observed: bool,
     faults: Option<FaultSchedule>,
 }
@@ -301,7 +299,6 @@ impl ClusterSpec {
             sched: SchedChoice::Kind(SchedulerKind::Fifo),
             executor: ExecutorKind::SerialSim,
             max_steps: DEFAULT_MAX_STEPS,
-            trace_capacity: None,
             observed: false,
             faults: None,
         }
@@ -340,36 +337,11 @@ impl ClusterSpec {
         self
     }
 
-    /// Bounds the raw action trace to a sliding window of `capacity`
-    /// actions (`None` = unbounded).  The window is all it bounds: the
-    /// causality behind the round and read instrumentation travels on the
-    /// messages, and histories are byte-identical either way.
-    ///
-    /// ```
-    /// use snow_core::{ObjectId, SystemConfig, TxSpec, Value};
-    /// use snow_protocols::{ClusterSpec, ProtocolKind, SchedulerKind};
-    ///
-    /// let config = SystemConfig::mwmr(2, 1, 1);
-    /// let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
-    ///     .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 20 })
-    ///     .max_steps(u64::MAX)       // no step cap
-    ///     .trace_capacity(Some(4096)) // sliding action window; aggregates stay exact
-    ///     .build()
-    ///     .unwrap();
-    ///
-    /// let writer = config.writers().next().unwrap();
-    /// let reader = config.readers().next().unwrap();
-    /// let w = cluster.invoke_at(0, writer, TxSpec::write(vec![(ObjectId(0), Value(9))]));
-    /// assert!(cluster.run_until_complete(w));
-    /// let r = cluster.invoke_at(cluster.now(), reader, TxSpec::read(vec![ObjectId(0)]));
-    /// assert!(cluster.run_until_complete(r));
-    ///
-    /// let history = cluster.history();
-    /// let read = history.get(r).unwrap().outcome.as_ref().unwrap().as_read().unwrap().clone();
-    /// assert_eq!(read.value_for(ObjectId(0)), Some(Value(9)));
-    /// ```
-    pub fn trace_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.trace_capacity = capacity;
+    /// Has no effect: the simulators' traces store no actions, so there
+    /// is no log to bound.  Kept only because the benchmark of record
+    /// (`e2e_bench`) calls it; delete it at the next change to that
+    /// benchmark.
+    pub fn trace_capacity(self, _capacity: Option<usize>) -> Self {
         self
     }
 
@@ -508,9 +480,6 @@ impl ClusterSpec {
             let mut sim = Simulation::new(scheduler)
                 .with_max_steps(spec.max_steps)
                 .with_sink(sink);
-            if let Some(capacity) = spec.trace_capacity {
-                sim = sim.with_trace_capacity(capacity);
-            }
             if let Some(faults) = spec.faults.clone() {
                 sim = sim.with_faults(faults, Some(faulty_restart(spec.protocol, &spec.config)));
             }
@@ -549,9 +518,6 @@ impl ClusterSpec {
             let mut sim = ParallelSimulation::new(shards, make_sched)
                 .with_sinks(&mut make_sink)
                 .with_max_steps(spec.max_steps);
-            if let Some(capacity) = spec.trace_capacity {
-                sim = sim.with_trace_capacity(capacity);
-            }
             if let Some(faults) = spec.faults.clone() {
                 let (protocol, config) = (spec.protocol, spec.config.clone());
                 sim = sim.with_faults(faults, move |_i| Some(faulty_restart(protocol, &config)));
@@ -808,7 +774,6 @@ mod tests {
             .scheduler(SchedulerKind::Fifo)
             .executor(ExecutorKind::SerialSim)
             .max_steps(DEFAULT_MAX_STEPS)
-            .trace_capacity(None)
             .observed(false)
             .build()
             .unwrap();

@@ -10,8 +10,8 @@
 //! [`CausalSummary`], the one primitive both substrates derive a send's
 //! round depth and a read response's non-blocking verdict from.  From
 //! those the cluster accumulates the same per-transaction round counts,
-//! C2C counts and per-read non-blocking/version measurements that
-//! `snow_sim::Trace` does.  Runtime histories are therefore checker-ready,
+//! C2C counts and per-read non-blocking/version measurements that the
+//! simulators' dispatch core folds into its trace.  Runtime histories are therefore checker-ready,
 //! which is what the runtime/simulator parity harness
 //! (`tests/runtime_parity.rs`) compares.
 //!
@@ -485,7 +485,7 @@ impl<M: Send + 'static> AsyncCluster<M> {
 }
 
 /// Folds one send into the per-transaction instrumentation — the same rules
-/// `snow_sim::Trace::record` applies to `Send` actions.  Locks only the
+/// the simulators' trace applies to a send.  Locks only the
 /// transaction's stripe: sends of stripe-disjoint transactions never
 /// serialize on each other.  On observed clusters also records a
 /// [`ObsEvent::MessageSent`] on the transaction's sink stripe and returns
@@ -533,7 +533,7 @@ fn record_send(
 }
 
 /// Folds one delivery into the per-transaction instrumentation — the same
-/// rules `snow_sim::Trace::record` applies to `Recv` actions.  On observed
+/// rules the simulators' trace applies to a receipt.  On observed
 /// clusters every tx-attributed delivery also records a
 /// [`ObsEvent::MessageDelivered`] on the transaction's sink stripe.
 fn record_receipt(shared: &Shared, receiver: ProcessId, from: ProcessId, meta: &MsgMeta) {

@@ -34,8 +34,8 @@
 //! Figs. 3–5 style constructions) record a RESP *before* the delivery
 //! that caused it; the clamp fixes that, and debug assertions downstream
 //! of it — the delivery-timestamp check in `DispatchCore::deliver` and
-//! the monotonicity check in [`Trace::record`] — keep the invariant
-//! audited.
+//! the monotonicity check the [`Trace`] applies to every reported action
+//! — keep the invariant audited.
 
 use crate::fault::{CrashPolicy, FaultState, SendVerdict};
 use crate::message::{CausalSummary, MsgId, MsgInfo, PendingMessage, SimMessage as _};
@@ -43,7 +43,7 @@ use crate::pool::MessagePool;
 use crate::parallel::shard_of;
 use crate::scheduler::Scheduler;
 use crate::sim::Simulation;
-use crate::trace::{ActionKind, Trace};
+use crate::trace::Trace;
 use snow_core::{
     ClientId, Effects, History, Process, ProcessId, TxId, TxKind, TxOutcome, TxRecord, TxSpec,
 };
@@ -153,7 +153,7 @@ where
             pool: MessagePool::new(),
             invocations: BinaryHeap::new(),
             scheduler,
-            trace: Trace::new(),
+            trace: Trace::default(),
             records: BTreeMap::new(),
             now: 0,
             next_msg: index as u64,
@@ -273,8 +273,8 @@ where
     /// never dispatched at a clock earlier than its own timestamp* holds
     /// by construction.  A path that bypassed the clamp would trip the
     /// debug assertions downstream of it: the timestamp check in
-    /// [`DispatchCore::deliver`] and the monotonicity check in
-    /// [`Trace::record`].
+    /// [`DispatchCore::deliver`] and the monotonicity check the [`Trace`]
+    /// applies to every reported action.
     fn advance_past(&mut self, event_at: u64) {
         self.now = self.now.max(event_at) + 1;
     }
@@ -401,11 +401,7 @@ where
 
     fn dispatch_invocation(&mut self, tx: TxId, client: ClientId, spec: TxSpec) {
         let pid = ProcessId::Client(client);
-        self.trace.record(
-            self.now,
-            pid,
-            ActionKind::Invoke { tx, kind: spec.kind() },
-        );
+        self.trace.invoke(self.now, pid, tx);
         self.records
             .insert(tx, TxRecord::invoked(tx, client, spec.clone(), self.now));
         self.in_flight.insert((self.now, tx));
@@ -435,12 +431,8 @@ where
             self.now
         );
         let info = msg.msg.info();
-        let nonblocking = msg.causal.nonblocking();
-        self.trace.record(
-            self.now,
-            msg.dst,
-            ActionKind::Recv { msg: msg.id, from: msg.src, info, nonblocking },
-        );
+        self.trace
+            .recv(self.now, msg.dst, msg.src, &info, msg.causal.nonblocking());
         if O::ENABLED {
             self.sink.emit(ObsEvent::MessageDelivered {
                 at: self.now,
@@ -480,11 +472,7 @@ where
                 None => CausalSummary::default(),
             };
             let round = causal.round_depth(at);
-            self.trace.record(
-                self.now,
-                at,
-                ActionKind::Send { msg: id, to, round, info },
-            );
+            self.trace.send(self.now, at, round, &info);
             // The scheduler always sees the send (its latency/RNG draw
             // sequence is part of the determinism contract), then the fault
             // schedule gets the last word on whether and when the message
@@ -500,8 +488,8 @@ where
                 self.note_partitions();
             }
             if verdict.dropped {
-                // Sent, never inserted: the trace keeps the Send record (a
-                // drop is an event of the run).
+                // Sent, never inserted: the send still counts toward the
+                // trace (a drop is an event of the run).
                 if O::ENABLED {
                     self.sink.emit(ObsEvent::MessageSent {
                         at: self.now,
@@ -560,16 +548,12 @@ where
             }
             if let Some((copy, causal)) = dup {
                 // The duplicate is a first-class message: its own
-                // (shard-strided) id, its own Send record, its own
+                // (shard-strided) id, its own traced send, its own
                 // scheduler draw.  It is not re-evaluated against the fault
                 // schedule (no duplicate storms of duplicates).
                 let dup_id = MsgId(self.next_msg);
                 self.next_msg += self.stride;
-                self.trace.record(
-                    self.now,
-                    at,
-                    ActionKind::Send { msg: dup_id, to, round, info },
-                );
+                self.trace.send(self.now, at, round, &info);
                 let dup_deliver = self.scheduler.on_send_to(at, to, dup_id, self.now);
                 let dup_pending = PendingMessage {
                     id: dup_id,
@@ -607,7 +591,7 @@ where
             }
         }
         for (tx, outcome) in responses {
-            self.trace.record(self.now, at, ActionKind::Respond { tx });
+            self.trace.respond(self.now, tx);
             if let Some(rec) = self.records.get_mut(&tx) {
                 let invoked_at = rec.invoked_at;
                 rec.responded_at = Some(self.now);
@@ -800,7 +784,7 @@ where
             rec.responded_at = Some(self.now);
             rec.outcome = Some(TxOutcome::Aborted);
             let client = rec.client;
-            self.trace.record(self.now, ProcessId::Client(client), ActionKind::Respond { tx });
+            self.trace.respond(self.now, tx);
             // Let the client automaton drop its in-flight state for the
             // orphan, so the next invocation finds it idle.
             if let Some(p) = self.processes.get_mut(&ProcessId::Client(client)) {

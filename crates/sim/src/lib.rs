@@ -20,12 +20,16 @@
 //!   [`MessagePool`] (delivery heap + Fenwick rank index + O(1) slot
 //!   removal), so every scheduler decides in O(log n) — see [`pool`] and
 //!   [`scheduler`] for the complexity contract;
-//! * every external action (INV, RESP, send, recv) is recorded in a
-//!   [`Trace`].  Each message carries a [`CausalSummary`] of its causal
-//!   past, from which the engine derives every send's round depth and
-//!   every read response's non-blocking bit.  That is what lets
-//!   `snow-checker` verify the N (non-blocking) and O (one-response)
-//!   properties without trusting the protocol's self-reporting;
+//! * every external action (INV, RESP, send, recv) is folded, as it
+//!   happens, into per-transaction instrumentation (rounds, C2C counts,
+//!   per-read versions and non-blocking bits); no action is stored.  Each
+//!   message carries a [`CausalSummary`] of its causal past, from which
+//!   the engine derives every send's round depth and every read
+//!   response's non-blocking bit.  That is what lets `snow-checker` verify
+//!   the N (non-blocking) and O (one-response) properties without
+//!   trusting the protocol's self-reporting.  A caller that wants the
+//!   execution itself records it through a [`TraceSink`] such as
+//!   [`RecordingSink`];
 //! * the simulation also assembles the [`snow_core::History`] of the run.
 //!
 //! The serial simulator is single-threaded and fully deterministic given
@@ -58,7 +62,7 @@ pub mod pool;
 pub mod scheduler;
 pub mod sim;
 pub mod topology;
-pub mod trace;
+mod trace;
 
 pub use fault::{
     Crash, CrashPolicy, EndpointSel, FaultAction, FaultRegion, FaultSchedule, Partition,
@@ -72,4 +76,3 @@ pub use snow_obs::{NullSink, ObsEvent, RecordingSink, ShardEvent, TraceSink};
 pub use scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler, Scheduler};
 pub use sim::{CommitDrain, InvocationPlan, Simulation, StepOutcome};
 pub use topology::{LinkDist, Topology, TopologyScheduler, TICK};
-pub use trace::{Action, ActionKind, Trace};

@@ -7,8 +7,8 @@
 //! (`engine::DispatchCore` — **the same type** the serial
 //! [`crate::Simulation`] wraps) per shard, each on its own worker thread.
 //! Every core owns its delivery pool, `(at, TxId)`-keyed invocation heap,
-//! [`Scheduler`] instance and [`Trace`], so shard-disjoint deliveries
-//! proceed with no synchronization at all.
+//! [`Scheduler`] instance and trace, so shard-disjoint deliveries proceed
+//! with no synchronization at all.
 //!
 //! # The deterministic epoch barrier
 //!
@@ -64,7 +64,6 @@ use crate::message::PendingMessage;
 use crate::fault::{FaultSchedule, FaultState, RestartFn};
 use crate::scheduler::Scheduler;
 use crate::sim::CommitDrain;
-use crate::trace::Trace;
 use snow_core::TxRecord;
 use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
 use snow_obs::{NullSink, ShardEvent, TraceSink};
@@ -249,21 +248,6 @@ where
         self
     }
 
-    /// Bounds every shard's trace to a sliding window of `capacity` recent
-    /// actions (see [`Trace::with_action_capacity`]); aggregates — and
-    /// therefore [`ParallelSimulation::history`] — are unaffected.  The
-    /// window is all it bounds: causality travels on the messages.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        for shard in &mut self.shards {
-            assert!(
-                shard.trace.is_empty(),
-                "set the trace capacity before running the simulation"
-            );
-            shard.trace = Trace::with_action_capacity(capacity);
-        }
-        self
-    }
-
     /// Overrides the epoch's virtual-time width ([`DEFAULT_EPOCH_WIDTH`]):
     /// larger epochs mean fewer barriers but coarser cross-shard
     /// interleaving.  Any width ≥ 1 is deterministic.  The width paces a
@@ -280,11 +264,6 @@ where
         assert!(width > 0, "epoch width must be at least 1 tick");
         self.epoch_width = width;
         self
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Registers a process on its [`shard_of`] shard.  Panics if a process
@@ -328,11 +307,6 @@ where
         self.shards
             .iter()
             .all(|s| s.pool.is_empty() && s.invocations.is_empty() && s.outbox.is_empty())
-    }
-
-    /// A shard's trace (for assertions in tests/harnesses).
-    pub fn trace(&self, shard: usize) -> &Trace {
-        &self.shards[shard].trace
     }
 
     /// Drains the transactions committed since the previous drain across
@@ -590,8 +564,8 @@ fn worker<P, S, O>(
 mod tests {
     use super::*;
     use crate::scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler};
-    use crate::trace::ActionKind;
     use crate::Simulation;
+    use snow_obs::{ObsEvent, RecordingSink};
     use std::collections::BTreeMap;
     use snow_core::{
         Effects, Key, MsgInfo, ObjectId, ObjectRead, ProtocolMessage, ReadOutcome, ServerId,
@@ -695,7 +669,10 @@ mod tests {
         sim
     }
 
-    fn plan(sim: &mut ParallelSimulation<ToyNode, impl Scheduler<ToyMsg>>, clients: u32) -> Vec<TxId> {
+    fn plan<O: TraceSink>(
+        sim: &mut ParallelSimulation<ToyNode, impl Scheduler<ToyMsg>, O>,
+        clients: u32,
+    ) -> Vec<TxId> {
         let mut txs = Vec::new();
         for round in 0..6u64 {
             for c in 0..clients {
@@ -794,28 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_multi_shard_traces_preserve_histories_and_stay_small() {
-        let run = |capacity: Option<usize>| {
-            let mut sim = deploy(4, 4, 4, |i| LatencyScheduler::new(shard_seed(9, i), 1, 16));
-            if let Some(cap) = capacity {
-                sim = sim.with_trace_capacity(cap);
-            }
-            plan(&mut sim, 4);
-            sim.run_until_quiescent();
-            let windows: Vec<usize> =
-                (0..sim.num_shards()).map(|s| sim.trace(s).actions().len()).collect();
-            (format!("{:?}", sim.history()), windows)
-        };
-        let (unbounded_history, unbounded_windows) = run(None);
-        let (bounded_history, bounded_windows) = run(Some(32));
-        // Same seeds, same schedule, same derived history — aggregates do
-        // not depend on the retained window.
-        assert_eq!(bounded_history, unbounded_history);
-        assert!(bounded_windows.iter().all(|&n| n <= 64), "window bounded at 2×capacity");
-        assert!(unbounded_windows.iter().sum::<usize>() > 4 * 64);
-    }
-
-    #[test]
     fn run_until_complete_stops_at_the_watched_transaction() {
         let mut sim = deploy(2, 2, 4, |_| FifoScheduler::new());
         let first = sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(1)]));
@@ -871,18 +826,20 @@ mod tests {
 
     #[test]
     fn message_ids_are_strided_per_shard() {
-        let mut sim = deploy(4, 4, 4, |_| FifoScheduler::new());
+        let mut sim =
+            deploy(4, 4, 4, |_| FifoScheduler::new()).with_sinks(|_| RecordingSink::new());
         plan(&mut sim, 4);
         sim.run_until_quiescent();
-        // Shard i only ever assigns ids ≡ i (mod 4): every send recorded in
-        // its trace carries such an id.
-        for (i, shard) in sim.shards.iter().enumerate() {
-            for action in shard.trace.actions() {
-                if let ActionKind::Send { msg, .. } = &action.kind {
-                    assert_eq!(msg.0 as usize % 4, i, "shard {i} id {msg}");
-                }
+        // Shard i only ever assigns ids ≡ i (mod 4): every send it records
+        // carries such an id.
+        let mut sends = 0;
+        for e in sim.drain_obs_events() {
+            if let ObsEvent::MessageSent { msg, .. } = e.event {
+                assert_eq!(msg % 4, u64::from(e.shard), "shard {} id {msg}", e.shard);
+                sends += 1;
             }
         }
+        assert!(sends > 0, "the run recorded no sends");
     }
 
     #[test]

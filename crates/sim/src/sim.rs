@@ -13,10 +13,11 @@
 //! * planned invocations live in a `BinaryHeap` keyed by `(at, TxId)`, so
 //!   scheduling n invocations is O(n log n) total (the old sorted-`Vec`
 //!   insert was O(n² log n)) and the next due invocation is an O(1) peek;
-//! * the [`Trace`] folds every recorded action into per-transaction indexes
-//!   (rounds, C2C counts, read instrumentation), so
-//!   [`Simulation::history`] is a single pass over the transaction records
-//!   instead of O(transactions × actions).
+//! * the core's trace folds each action, as it is dispatched, into
+//!   per-transaction indexes (rounds, C2C counts, read instrumentation)
+//!   and stores no action, so [`Simulation::history`] is a single pass
+//!   over the transaction records and memory does not grow with the
+//!   message count.
 //!
 //! Per step the engine therefore does O(log n) work plus the process
 //! handler's own cost, for any scheduler.  Adversarial driving
@@ -46,7 +47,6 @@ use crate::engine::{DispatchCore, QueuedInvocation};
 use crate::fault::{FaultSchedule, FaultState, RestartFn};
 use crate::message::PendingMessage;
 use crate::scheduler::Scheduler;
-use crate::trace::Trace;
 use snow_core::{ClientId, History, Process, ProcessId, TxId, TxSpec};
 use snow_obs::{NullSink, ShardEvent, TraceSink};
 
@@ -143,19 +143,10 @@ where
         self
     }
 
-    /// Bounds the trace's raw action log to a sliding window of roughly
-    /// `capacity` recent actions (see [`Trace::with_action_capacity`]).
-    /// The per-transaction aggregates — and therefore
-    /// [`Simulation::history`] — are byte-for-byte unaffected; only
-    /// retrospective action inspection loses evicted entries.  Causality
-    /// travels on the messages, so the window is the only trace state this
-    /// bounds; the flood benches use it for their 100k+-transaction rows.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        assert!(
-            self.core.trace.is_empty(),
-            "set the trace capacity before running the simulation"
-        );
-        self.core.trace = Trace::with_action_capacity(capacity);
+    /// Has no effect: the trace stores no actions, so there is no log
+    /// to bound.  Kept only because the benchmark of record (`e2e_bench`)
+    /// calls it; delete it at the next change to that benchmark.
+    pub fn with_trace_capacity(self, _capacity: usize) -> Self {
         self
     }
 
@@ -209,11 +200,6 @@ where
     /// The in-flight messages, in send (id) order.
     pub fn pending(&self) -> impl Iterator<Item = &PendingMessage<P::Msg>> + '_ {
         self.core.pool.iter()
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
     }
 
     /// Access to a registered process (for assertions in tests/harnesses).
@@ -317,6 +303,7 @@ mod tests {
     use super::*;
     use crate::message::{MsgInfo, SimMessage};
     use crate::scheduler::{FifoScheduler, LatencyScheduler, RandomScheduler};
+    use snow_obs::RecordingSink;
     use snow_core::{
         Effects, Key, ObjectId, ObjectRead, ReadOutcome, ServerId, TxOutcome, TxSpec, Value,
     };
@@ -583,37 +570,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounded_trace_mode_preserves_histories() {
-        let run = |capacity: Option<usize>| {
-            let mut sim = toy_sim(RandomScheduler::new(11));
-            if let Some(cap) = capacity {
-                sim = sim.with_trace_capacity(cap);
-            }
-            for i in 0..50u64 {
-                sim.invoke_at(i * 3, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
-            }
-            sim.run_until_quiescent();
-            (format!("{:?}", sim.history()), sim.trace().actions().len())
-        };
-        let (unbounded_history, unbounded_actions) = run(None);
-        let (bounded_history, bounded_actions) = run(Some(16));
-        // Same seed, same schedule, same derived history — the aggregates
-        // do not depend on the retained window.
-        assert_eq!(bounded_history, unbounded_history);
-        assert!(bounded_actions <= 32, "window bounded at 2×capacity");
-        assert!(unbounded_actions > 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "before running")]
-    fn trace_capacity_cannot_be_set_mid_run() {
-        let mut sim = toy_sim(FifoScheduler::new());
-        sim.invoke_at(0, ClientId(0), TxSpec::read(vec![ObjectId(0)]));
-        sim.run_until_quiescent();
-        let _ = sim.with_trace_capacity(4);
-    }
-
     /// Regression for the adversarial-delivery clock-skew bug: before the
     /// dispatch-core unification, `deliver_where` advanced `now += 1`
     /// without clamping to the delivered message's `deliver_at`, so a
@@ -677,7 +633,7 @@ mod tests {
     fn drain_commits_streams_the_history_in_resp_order() {
         // The toy client supports one outstanding transaction, so space the
         // invocations; the drain contract concerns completed records only.
-        let mut sim = toy_sim(RandomScheduler::new(7)).with_trace_capacity(16);
+        let mut sim = toy_sim(RandomScheduler::new(7));
         for i in 0..40u64 {
             sim.invoke_at(i * 40, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         }
@@ -713,12 +669,12 @@ mod tests {
         assert_eq!(format!("{drained:?}"), format!("{expected:?}"));
     }
 
-    /// The recorded trace of an adversarially driven run has monotone
-    /// (non-decreasing) action timestamps — the invariant the checkers'
+    /// The recorded event stream of an adversarially driven run has
+    /// monotone (non-decreasing) timestamps — the invariant the checkers'
     /// real-time precedence edges rely on.
     #[test]
     fn adversarially_driven_trace_timestamps_are_monotone() {
-        let mut sim = toy_sim(LatencyScheduler::new(9, 1, 40));
+        let mut sim = toy_sim(LatencyScheduler::new(9, 1, 40)).with_sink(RecordingSink::new());
         for i in 0..6u64 {
             sim.invoke_at(i * 7, ClientId(0), TxSpec::read(vec![ObjectId(0), ObjectId(1)]));
         }
@@ -739,10 +695,11 @@ mod tests {
                 break;
             }
         }
-        let times: Vec<u64> = sim.trace().actions().iter().map(|a| a.time).collect();
+        let times: Vec<u64> = sim.drain_obs_events().iter().map(|e| e.event.at()).collect();
+        assert!(!times.is_empty(), "the run recorded no events");
         assert!(
             times.windows(2).all(|w| w[0] <= w[1]),
-            "trace timestamps regressed: {times:?}"
+            "event timestamps regressed: {times:?}"
         );
     }
 }

@@ -250,9 +250,25 @@ fn drive_open_loop_tapped(
     (history, report)
 }
 
+/// The cluster every open-loop runner builds: `protocol` on `executor`
+/// under `scheduler`, with the step cap removed so long saturation runs
+/// are never cut short.
+fn open_loop_cluster(
+    protocol: ProtocolKind,
+    config: &SystemConfig,
+    scheduler: SchedulerKind,
+    executor: ExecutorKind,
+) -> ClusterSpec {
+    ClusterSpec::new(protocol, config)
+        .scheduler(scheduler)
+        .executor(executor)
+        .max_steps(u64::MAX)
+}
+
 /// Builds a cluster of `protocol` on `executor` and drives `spec` open
-/// loop.  The trace is bounded (window 4096) and the step cap removed, so
-/// long saturation runs stay O(in-flight) in memory.
+/// loop, with the step cap removed.  The simulators keep no per-action
+/// log, so long saturation runs stay O(in-flight + transactions) in
+/// memory.
 pub fn run_open_loop(
     protocol: ProtocolKind,
     config: &SystemConfig,
@@ -260,12 +276,7 @@ pub fn run_open_loop(
     scheduler: SchedulerKind,
     executor: ExecutorKind,
 ) -> Result<(History, OpenLoopReport)> {
-    let mut cluster = ClusterSpec::new(protocol, config)
-        .scheduler(scheduler)
-        .executor(executor)
-        .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
-        .build()?;
+    let mut cluster = open_loop_cluster(protocol, config, scheduler, executor).build()?;
     Ok(drive_open_loop(cluster.as_mut(), config, spec))
 }
 
@@ -283,11 +294,7 @@ pub fn run_open_loop_observed(
     scheduler: SchedulerKind,
     executor: ExecutorKind,
 ) -> Result<(History, OpenLoopReport, Vec<snow_protocols::deploy::ShardEvent>)> {
-    let mut cluster = ClusterSpec::new(protocol, config)
-        .scheduler(scheduler)
-        .executor(executor)
-        .max_steps(u64::MAX)
-        .trace_capacity(Some(4096))
+    let mut cluster = open_loop_cluster(protocol, config, scheduler, executor)
         .observed(true)
         .build()?;
     let (history, report) = drive_open_loop(cluster.as_mut(), config, spec);
@@ -323,12 +330,7 @@ pub fn run_open_loop_checked_mode(
             Ok((history, report, verdict))
         }
         CheckMode::Streaming => {
-            let mut cluster = ClusterSpec::new(protocol, config)
-                .scheduler(scheduler)
-                .executor(executor)
-                .max_steps(u64::MAX)
-                .trace_capacity(Some(4096))
-                .build()?;
+            let mut cluster = open_loop_cluster(protocol, config, scheduler, executor).build()?;
             let mut checker = snow_checker::StreamChecker::new();
             let (history, report) =
                 drive_open_loop_tapped(cluster.as_mut(), config, spec, &mut |cluster| {

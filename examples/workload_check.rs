@@ -1,7 +1,6 @@
 //! Full-history verification: drive a mixed workload against Algorithm C
-//! under an adversarially random schedule, in bounded-trace (O(in-flight))
-//! memory mode, then hand the *entire* history — not a sample — to the
-//! strict-serializability checker.
+//! under an adversarially random schedule, then hand the *entire* history
+//! — not a sample — to the strict-serializability checker.
 //!
 //! `check_auto` picks the engine by history shape: Algorithm C tags every
 //! transaction, so small runs go through the Lemma 20 tag-order checker
@@ -21,7 +20,6 @@ fn main() {
     let mut cluster = ClusterSpec::new(ProtocolKind::AlgC, &config)
         .scheduler(SchedulerKind::Latency { seed: 7, min: 1, max: 25 })
         .max_steps(u64::MAX)
-        .trace_capacity(Some(4096)) // sliding action window; aggregates stay exact
         .build()
         .unwrap();
     let mut generator = WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());

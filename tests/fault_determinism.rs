@@ -15,7 +15,7 @@
 //! * an *empty* `FaultSchedule` is structurally inert: a faulty cluster
 //!   with nothing scheduled reproduces the clean cluster's history
 //!   byte-for-byte for all 30 golden combos;
-//! * a bounded action trace records the unbounded trace's history under
+//! * recording observability events leaves the history untouched under
 //!   every named fault scenario, straggler responses included, on the
 //!   serial and the 2-shard engine.
 //!
@@ -118,11 +118,12 @@ fn four_shard_fault_histories_are_deterministic() {
 }
 
 #[test]
-fn bounded_trace_matches_unbounded_under_faults() {
-    // `trace_capacity` is a memory knob: it may not change a history.  The
-    // dup storm is the sharp case — a duplicated read request's second
-    // response reaches the invoker after RESP, by which time a bounded
-    // trace has pruned the causal metadata an unbounded one still holds.
+fn observed_matches_unobserved_under_faults() {
+    // Recording may not change a history, and the fault paths (drops,
+    // duplicates, crash intercepts, partition holds, orphan retirement)
+    // have emission sites of their own.  The dup storm is the sharp case
+    // for the READ instrumentation: a duplicated read request's second
+    // response reaches the invoker after RESP.
     let config = SystemConfig::mwmr(4, 4, 4);
     let scheduler = SchedulerKind::Latency { seed: 7, min: 1, max: 16 };
     let protocols = [
@@ -136,29 +137,33 @@ fn bounded_trace_matches_unbounded_under_faults() {
     for (scenario, schedule) in fault_scenarios() {
         for protocol in protocols {
             for executor in executors {
-                let run = |capacity| {
+                let run = |observed| {
                     let mut cluster = ClusterSpec::new(protocol, &config)
                         .scheduler(scheduler)
                         .executor(executor)
                         .faults(schedule.clone())
-                        .trace_capacity(capacity)
+                        .observed(observed)
                         .build()
                         .expect("valid fault config");
                     let mut generator =
                         WorkloadGenerator::new(&config, WorkloadSpec::write_heavy());
                     let (history, _) =
                         WorkloadDriver::new(4).run(cluster.as_mut(), &mut generator, 200);
-                    history.records.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>()
+                    let records: Vec<String> =
+                        history.records.iter().map(|r| format!("{r:?}")).collect();
+                    (records, cluster.drain_obs_events().len())
                 };
-                let (unbounded, bounded) = (run(None), run(Some(64)));
+                let ((unobserved, silent), (observed, events)) = (run(false), run(true));
                 let case = format!("{protocol:?}/{scenario}/{executor:?}");
-                assert_eq!(unbounded.len(), bounded.len(), "{case}");
-                let differing = unbounded.iter().zip(&bounded).filter(|(a, b)| a != b).count();
+                assert_eq!(silent, 0, "{case}: an unobserved cluster recorded events");
+                assert!(events > 0, "{case}: the observed cluster recorded no events");
+                assert_eq!(unobserved.len(), observed.len(), "{case}");
+                let differing = unobserved.iter().zip(&observed).filter(|(a, b)| a != b).count();
                 assert_eq!(
                     differing,
                     0,
-                    "{case}: {differing} of {} records differ with a bounded trace",
-                    unbounded.len()
+                    "{case}: {differing} of {} records differ when observed",
+                    unobserved.len()
                 );
             }
         }
