@@ -111,6 +111,13 @@
 #      `prune_meta`, `chain_depth`, `CausalEnvelope`) and the runtime's
 #      private copy (`ancestor_dest_counts`) may not reappear in
 #      crates src tests examples.
+#  12d. no per-action log: the simulators' trace folds each action into
+#      per-transaction instrumentation and stores none.  The deleted log
+#      (`struct Action`, `ActionKind`, `fn actions`,
+#      `with_action_capacity`) may not reappear under crates/sim/src, and
+#      nothing in crates src tests examples may call `trace_capacity(` or
+#      `with_trace_capacity(`: both are inert, kept only for e2e_bench,
+#      so the only matches allowed are their two definitions.
 #
 # Usage: scripts/ci.sh
 
@@ -437,5 +444,22 @@ if [ -n "$causal_strays" ] || [ -n "$summary_defs" ]; then
     exit 1
 fi
 echo "causal summary unified"
+
+echo "== no per-action trace log (trace_capacity is inert) =="
+log_strays="$(grep -rnE --include='*.rs' \
+    '\bwith_action_capacity\b|\bActionKind\b|\bstruct Action\b|\bfn actions\b' \
+    crates/sim/src || true)"
+capacity_calls="$(grep -rnE --include='*.rs' 'trace_capacity\(' crates src tests examples \
+    | grep -vE -e '^crates/protocols/src/deploy.rs:[0-9]+: *pub fn trace_capacity\(' \
+        -e '^crates/sim/src/sim.rs:[0-9]+: *pub fn with_trace_capacity\(' || true)"
+if [ -n "$log_strays" ] || [ -n "$capacity_calls" ]; then
+    echo "per-action trace log or trace_capacity call outside e2e_bench:" >&2
+    printf '%s\n' "$log_strays" "$capacity_calls" | grep -v '^$' >&2
+    echo "The trace stores no actions; record an execution through a" >&2
+    echo "TraceSink (RecordingSink) instead.  trace_capacity and" >&2
+    echo "with_trace_capacity are inert and kept only for e2e_bench." >&2
+    exit 1
+fi
+echo "no per-action trace log"
 
 echo "CI green"
