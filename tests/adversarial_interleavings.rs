@@ -22,9 +22,7 @@ use proptest::ProptestConfig;
 use snow::checker::{GraphChecker, Verdict};
 use snow::core::{ClientId, History, ObjectId, TxId, TxSpec, Value};
 use snow::protocols::{deploy_any, AnyNode, ProtocolKind};
-use snow::sim::{
-    LatencyScheduler, ParallelSimulation, RecordingSink, Simulation, StepOutcome, TraceSink,
-};
+use snow::sim::{LatencyScheduler, ParallelSimulation, RecordingSink, Simulation, StepOutcome};
 use snow_bench::golden;
 
 /// SplitMix64: deterministic per-seed stream driving plan and adversary.
@@ -86,8 +84,8 @@ fn random_round(
 /// Drives one round's invocations to quiescence with a random mix of
 /// scheduler steps, adversarial rank-targeted deliveries and forced
 /// invocations.
-fn drain_adversarially<O: TraceSink>(
-    sim: &mut Simulation<AnyNode, LatencyScheduler, O>,
+fn drain_adversarially(
+    sim: &mut Simulation<AnyNode, LatencyScheduler, RecordingSink>,
     rng: &mut Rng,
     clients: &[ClientId],
 ) {
